@@ -2,8 +2,9 @@
 """Build the classification atlas and write it as JSON.
 
 Per-entry wall time goes to stderr.  The default parameters (rank <= 4,
-grading bound 3) take a few minutes because the bound-3 tensor sweeps for
-the rank-4 types are large; pass --bound 2 for a build in about a second.
+grading bound 3) take a few minutes, almost all of it in the Smith normal
+form of each grading group's generators x relations matrix rather than in
+the tensor products; pass --bound 2 for a build in about a second.
 """
 
 import argparse

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .lattice import FiniteAbelianGroup, cokernel, weight_class_data
 from .repring import dominant_weights_up_to, tensor_decompose
-from .rootsys import RootSystem, Weight, is_dominant
+from .rootsys import RootSystem, Weight, _check_weight, _require_dominant
 
 
 @dataclass(frozen=True)
@@ -120,42 +120,8 @@ def grading_presentation(rs: RootSystem, bound: int) -> GradingPresentation:
 def grading_class(rs: RootSystem, w: Weight) -> tuple[int, ...]:
     """The image of ``w`` in the weight-class group, in invariant-factor
     coordinates."""
-    if len(w) != rs.rank:
-        raise ValueError(f"weight {w} has length {len(w)}, expected {rs.rank}")
+    _check_weight(rs, w)
     return weight_class_data(rs.cartan_type).class_of(w)
-
-
-def _group_isomorphisms(group: FiniteAbelianGroup):
-    """All automorphisms of a small group, as dicts on its elements."""
-    factors = group.invariant_factors
-    k = len(factors)
-    if k == 0:
-        yield {(): ()}
-        return
-    elements = list(group.elements())
-
-    def span(images):
-        # the hom determined by the images of the standard generators
-        table = {}
-        for coeffs in itertools.product(*(range(d) for d in factors)):
-            img = (0,) * k
-            for c, g in zip(coeffs, images):
-                img = group.add(img, tuple((c * x) % d for x, d in zip(g, factors)))
-            table[coeffs] = img
-        return table
-
-    for images in itertools.product(elements, repeat=k):
-        # the i-th generator has order dividing factors[i]
-        ok = True
-        for i, g in enumerate(images):
-            if any((factors[i] * x) % d for x, d in zip(g, factors)):
-                ok = False
-                break
-        if not ok:
-            continue
-        table = span(images)
-        if len(set(table.values())) == len(elements):
-            yield table
 
 
 def matches_fundamental_group(pres: GradingPresentation, rs: RootSystem) -> bool:
@@ -163,19 +129,27 @@ def matches_fundamental_group(pres: GradingPresentation, rs: RootSystem) -> bool
     class map realizing reduction modulo the root lattice.
 
     Quotient coordinates are only canonical up to a group automorphism, so
-    the class maps are compared through an explicit isomorphism.
+    ``class_map[g] -> class_of(g)`` is extended additively by a walk over
+    the quotient from zero; it matches when the extension never gives an
+    element two images, reaches every element and is injective.
     """
-    if pres.free_rank != 0:
-        return False
     data = weight_class_data(rs.cartan_type)
-    if pres.quotient != data.group:
+    group = data.group
+    if pres.free_rank != 0 or pres.quotient != group:
         return False
-    for iso in _group_isomorphisms(data.group):
-        if all(
-            iso[pres.class_map[g]] == data.class_of(g) for g in pres.generators
-        ):
-            return True
-    return False
+    steps = {(pres.class_map[g], data.class_of(g)) for g in pres.generators}
+    zero = (0,) * len(group.invariant_factors)
+    image = {zero: zero}
+    queue = [zero]
+    for x in queue:
+        for s, t in steps:
+            y, z = group.add(x, s), group.add(image[x], t)
+            if y not in image:
+                image[y] = z
+                queue.append(y)
+            elif image[y] != z:
+                return False
+    return len(image) == group.order and len(set(image.values())) == group.order
 
 
 _WORD_CACHE: dict[tuple, frozenset[Weight]] = {}
@@ -214,10 +188,7 @@ def tensor_equivalent(
     exhausted (which does not certify inequivalence).
     """
     for w in (a, b):
-        if len(w) != rs.rank:
-            raise ValueError(f"weight {w} has length {len(w)}, expected {rs.rank}")
-        if not is_dominant(w):
-            raise ValueError(f"weight {w} is not dominant")
+        _require_dominant(rs, w)
     if depth < 1 or bound < 0:
         raise ValueError("depth must be >= 1 and bound >= 0")
     if a == b:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
-from .rootsys import CartanType, RootSystem, Weight, cartan_matrix
+from .rootsys import CartanType, RootSystem, Weight, _check_weight, cartan_matrix
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -203,7 +202,8 @@ def weight_class_data(t: CartanType) -> WeightClassData:
     if data is None:
         m = cartan_matrix(t)
         factors, free, torsion_rows, _ = cokernel(m, t.rank)
-        assert free == 0, "Cartan matrix is nonsingular"
+        if free:
+            raise AssertionError("Cartan matrix is nonsingular")
         data = WeightClassData(FiniteAbelianGroup(factors), torsion_rows)
         _CLASS_DATA_CACHE[t.components] = data
     return data
@@ -395,33 +395,21 @@ def subgroup_invariant_factors(s: Subgroup) -> FiniteAbelianGroup:
     if k == 0 or s.order == 1:
         return FiniteAbelianGroup(())
     basis = s.basis
-    # rows of diag(d) * basis^{-1}: exact back-substitution, then integrality
-    inv = _upper_triangular_inverse(basis)
+    # rows x of diag(d) * basis^{-1}, solving x * basis = d * e_j by exact
+    # integer forward substitution down the upper-triangular basis
     rows = []
     for j, d in enumerate(s.ambient.invariant_factors):
         row = []
         for i in range(k):
-            v = d * inv[j][i]
-            if v.denominator != 1:
+            acc = (d if i == j else 0) - sum(row[l] * basis[l][i] for l in range(i))
+            q, r = divmod(acc, basis[i][i])
+            if r:
                 raise AssertionError("relations do not lie in the subgroup lattice")
-            row.append(int(v))
+            row.append(q)
         rows.append(row)
     _, diag, _ = smith_normal_form(rows)
     factors = tuple(diag[i][i] for i in range(k) if diag[i][i] > 1)
     return FiniteAbelianGroup(factors)
-
-
-def _upper_triangular_inverse(basis: Matrix):
-    k = len(basis)
-    inv = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k - 1, -1, -1):
-        inv[i][i] = Fraction(1, basis[i][i])
-        for j in range(i + 1, k):
-            acc = Fraction(0)
-            for l in range(i + 1, j + 1):
-                acc += basis[i][l] * inv[l][j]
-            inv[i][j] = -acc / basis[i][i]
-    return inv
 
 
 @dataclass(frozen=True)
@@ -460,8 +448,7 @@ def weight_in_lattice(rs: RootSystem, w: Weight, d: Diagram) -> bool:
         raise ValueError(
             f"weight of type {rs.cartan_type} tested against diagram of type {d.cartan_type}"
         )
-    if len(w) != rs.rank:
-        raise ValueError(f"weight {w} has length {len(w)}, expected {rs.rank}")
+    _check_weight(rs, w)
     cls = weight_class_data(rs.cartan_type).class_of(w)
     return d.subgroup.contains(cls)
 

@@ -10,17 +10,16 @@ multisets.  All values are exact integers.
 
 from __future__ import annotations
 
-from .rootsys import RootSystem, Weight, is_dominant, weyl_orbit
+from .rootsys import (
+    RootSystem,
+    Weight,
+    _require_dominant,
+    dominant_representative,
+    weyl_orbit,
+)
 
 WeightMultiset = dict[Weight, int]
 Decomposition = dict[Weight, int]
-
-
-def _require_dominant(rs: RootSystem, w: Weight) -> None:
-    if len(w) != rs.rank:
-        raise ValueError(f"weight {w} has length {len(w)}, expected {rs.rank}")
-    if not is_dominant(w):
-        raise ValueError(f"weight {w} is not dominant")
 
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
@@ -35,7 +34,8 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
         num *= sum(a * b for a, b in zip(k, shifted))
         den *= sum(k)
     q, r = divmod(num, den)
-    assert r == 0, "Weyl dimension must be an integer"
+    if r:
+        raise AssertionError("Weyl dimension must be an integer")
     return q
 
 
@@ -61,7 +61,6 @@ def dominant_weight_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, 
     rank = rs.rank
     norms = rs.simple_norms
     positive = rs.positive_root_data
-    cols = rs.reflection_cols
 
     # dominant weights below lam, with lam - mu expanded over simple roots
     diffs: dict[Weight, tuple[int, ...]] = {lam: (0,) * rank}
@@ -75,19 +74,6 @@ def dominant_weight_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, 
                 continue
             diffs[v] = tuple(a + b for a, b in zip(base, p.simple_coords))
             queue.append(v)
-
-    def straighten(vec: list[int]) -> Weight:
-        while True:
-            neg = -1
-            for j in range(rank):
-                if vec[j] < 0:
-                    neg = j
-                    break
-            if neg < 0:
-                return tuple(vec)
-            c = vec[neg]
-            for j, a in cols[neg]:
-                vec[j] -= c * a
 
     order = sorted(diffs, key=lambda w: (sum(diffs[w]), w))
     table: dict[Weight, int] = {}
@@ -105,7 +91,8 @@ def dominant_weight_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, 
             k = 1
             while True:
                 v = tuple(a + k * b for a, b in zip(mu, proot))
-                m = table.get(v if all(c >= 0 for c in v) else straighten(list(v)), 0)
+                dom = dominant_representative(rs, v)[0] if min(v) < 0 else v
+                m = table.get(dom, 0)
                 if m == 0:
                     break
                 acc += m * pnorm * sum(a * b for a, b in zip(pcoroot, v))
@@ -115,7 +102,8 @@ def dominant_weight_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, 
             diff[i] * norms[i] * (two_rho_shift[i] + mu[i]) for i in range(rank)
         )
         mult, r = divmod(2 * acc, den)
-        assert r == 0, "Freudenthal recursion must divide exactly"
+        if r:
+            raise AssertionError("Freudenthal recursion must divide exactly")
         table[mu] = mult
 
     _DOMINANT_TABLES[key] = table
@@ -158,6 +146,7 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
     shifted = [c + 1 for c in lam]
     acc: dict[Weight, int] = {}
     for nu, mult in weight_multiplicities(rs, mu).items():
+        # inlined: unlike dominant_representative, it stops at the first wall
         vec = [a + b for a, b in zip(shifted, nu)]
         sign = 1
         wall = False
@@ -183,7 +172,8 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
         acc[child] = acc.get(child, 0) + sign * mult
 
     result = {w: m for w, m in acc.items() if m}
-    assert all(m > 0 for m in result.values()), "cancellation must leave positives"
+    if any(m < 0 for m in result.values()):
+        raise AssertionError("cancellation must leave positives")
     _TENSOR_CACHE[key] = result
     return dict(result)
 

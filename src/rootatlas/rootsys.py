@@ -307,6 +307,12 @@ def _check_weight(rs: RootSystem, w: Weight) -> None:
         raise ValueError(f"weight {w} has length {len(w)}, expected {rs.rank}")
 
 
+def _require_dominant(rs: RootSystem, w: Weight) -> None:
+    _check_weight(rs, w)
+    if not is_dominant(w):
+        raise ValueError(f"weight {w} is not dominant")
+
+
 def is_dominant(w: Weight) -> bool:
     return all(c >= 0 for c in w)
 

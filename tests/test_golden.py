@@ -1,0 +1,28 @@
+"""CLI output pinned byte for byte against checked-in golden files.
+
+Two runs in one process agreeing cannot catch drift between versions; these
+files can.  Regenerate one only for an intended output change, from the
+listed command's stdout:
+``python -m rootatlas classify D4 --format json > tests/golden/classify_d4.json``.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from rootatlas.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "atlas_r4_b2.json": "atlas --max-rank 4 --bound 2 --format json",
+    # grade carries the class map, which the atlas JSON does not
+    "grade_d4_b2.json": "grade D4 --bound 2 --format json",
+    "classify_d4.json": "classify D4 --format json",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(capsys, name):
+    assert run(CASES[name].split()) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()

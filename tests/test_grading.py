@@ -1,11 +1,13 @@
 """The universal grading group and tensor-word equivalence."""
 
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootatlas.cli import run
 from rootatlas.grading import (
     TensorRelation,
     generate_relations,
@@ -16,7 +18,7 @@ from rootatlas.grading import (
     tensor_equivalent,
     universal_grading_group,
 )
-from rootatlas.lattice import fundamental_group
+from rootatlas.lattice import fundamental_group, weight_class_data
 from rootatlas.repring import dominant_weights_up_to, tensor_decompose
 from rootatlas.rootsys import build_root_system, parse_cartan_type
 
@@ -97,6 +99,109 @@ def test_grading_recovers_fundamental_group(name, bound):
     assert pres.free_rank == 0
     assert pres.quotient == fundamental_group(rs.cartan_type)
     assert matches_fundamental_group(pres, rs)
+
+
+def _automorphisms(group):
+    """Every automorphism of a small group, as a dict on its elements:
+    the additive bijections, found by trying every permutation."""
+    elements = list(group.elements())
+    for images in itertools.permutations(elements):
+        table = dict(zip(elements, images))
+        if all(
+            table[group.add(x, y)] == group.add(table[x], table[y])
+            for x in elements
+            for y in elements
+        ):
+            yield table
+
+
+def _matches_by_search(pres, rs):
+    data = weight_class_data(rs.cartan_type)
+    if pres.free_rank or pres.quotient != data.group:
+        return False
+    return any(
+        all(iso[pres.class_map[g]] == data.class_of(g) for g in pres.generators)
+        for iso in _automorphisms(data.group)
+    )
+
+
+def test_matches_fundamental_group_up_to_automorphism():
+    # negation is a nontrivial automorphism of Z/4
+    rs = _SYSTEMS["A3"]
+    pres = grading_presentation(rs, 2)
+    negated = {g: ((-c) % 4,) for g, (c,) in pres.class_map.items()}
+    assert negated != pres.class_map
+    assert matches_fundamental_group(dataclasses.replace(pres, class_map=negated), rs)
+
+
+def test_matches_fundamental_group_rejects_non_additive_class_map():
+    rs = _SYSTEMS["A3"]
+    pres = grading_presentation(rs, 2)
+    swapped = dict(pres.class_map)
+    swapped[(1, 0, 0)], swapped[(0, 1, 0)] = swapped[(0, 1, 0)], swapped[(1, 0, 0)]
+    tampered = dataclasses.replace(pres, class_map=swapped)
+    assert not matches_fundamental_group(tampered, rs)
+
+
+def test_matches_fundamental_group_rejects_wrong_quotient():
+    rs = _SYSTEMS["A1"]
+    # bound 0 presents the trivial group
+    assert not matches_fundamental_group(grading_presentation(rs, 0), rs)
+    # too few relations present Z/4, larger than the weight classes Z/2
+    gens = dominant_weights_up_to(rs, 2)
+    rels = [
+        TensorRelation((0,), (0,), (0,)),
+        TensorRelation((2,), (1,), (1,)),
+        TensorRelation((0,), (2,), (2,)),
+    ]
+    pres = universal_grading_group(rels, gens)
+    assert pres.quotient.invariant_factors == (4,)
+    assert not matches_fundamental_group(pres, rs)
+
+
+def test_matches_fundamental_group_rejects_non_injective_class_map():
+    # Z/4 presented on weights of class 0 and 2 only: the generator's class
+    # maps to class 2, so the induced map doubles and is not injective
+    rs = _SYSTEMS["A3"]
+    zero, x, y = (0, 0, 0), (0, 1, 0), (0, 2, 0)
+    rels = [
+        TensorRelation(zero, zero, zero),
+        TensorRelation(y, x, x),
+        TensorRelation(zero, y, y),
+    ]
+    pres = universal_grading_group(rels, [zero, x, y])
+    assert pres.quotient == fundamental_group(rs.cartan_type)
+    assert grading_class(rs, x) == (2,)
+    assert not matches_fundamental_group(pres, rs)
+    assert not _matches_by_search(pres, rs)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "G2", "D4", "A1xA1"])
+def test_matches_fundamental_group_agrees_with_search(name):
+    rs = build_root_system(parse_cartan_type(name))
+    group = fundamental_group(rs.cartan_type)
+    for bound in (1, 2):
+        pres = grading_presentation(rs, bound)
+        # the true class map under every automorphism, then every pair of
+        # generators' classes swapped
+        variants = [
+            {g: iso[c] for g, c in pres.class_map.items()}
+            for iso in _automorphisms(group)
+        ]
+        for a, b in itertools.combinations(pres.generators, 2):
+            swapped = dict(pres.class_map)
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            variants.append(swapped)
+        for class_map in variants:
+            tampered = dataclasses.replace(pres, class_map=class_map)
+            assert matches_fundamental_group(tampered, rs) == _matches_by_search(
+                tampered, rs
+            )
+
+
+def test_grade_product_of_five_a1_matches(capsys):
+    assert run(["grade", "A1xA1xA1xA1xA1", "--bound", "1"]) == 0
+    assert "matches fundamental group: yes" in capsys.readouterr().out
 
 
 def test_grading_class_a1():
