@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .classify import (
@@ -320,8 +321,17 @@ def _cmd_atlas(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-1,0`` as a weight, not an option: argparse alone does so
+    only for a bare number, and no option here starts with a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rootatlas",
         description="Exact root system and isogeny atlas computations.",
     )

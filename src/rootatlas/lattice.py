@@ -2,8 +2,8 @@
 lattice modulo the root lattice, and the subgroup lattice in between.
 
 All matrices are lists of rows over Python integers; normal forms are
-computed by exact elementary operations with the unimodular transforms
-tracked alongside.
+computed by exact elementary operations, tracking only the unimodular
+transforms that the caller reads.
 """
 
 from __future__ import annotations
@@ -21,18 +21,22 @@ class EnumerationCapError(RuntimeError):
     """Subgroup enumeration refused: the ambient group exceeds the cap."""
 
 
-def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
+def smith_normal_form(m, *, _right=True) -> tuple[Matrix, Matrix, Matrix]:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
     Returns (left, diag, right) with left*m*right == diag, both transforms
     unimodular, and the diagonal nonnegative with each entry dividing the
-    next.  Works for any shape, including empty matrices.
+    next.  Works for any shape, including empty matrices.  Inside this
+    module, ``_right=False`` returns None for right and skips building it
+    (columns x columns: one per relation of a cokernel); left and diag
+    come from the same operations either way.
     """
     a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     left = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    right = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    # with no rows to update, the column operations touch only ``a``
+    right = [[int(i == j) for j in range(cols)] for i in range(cols)] if _right else []
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -112,7 +116,7 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
     return (
         tuple(tuple(r) for r in left),
         tuple(tuple(r) for r in a),
-        tuple(tuple(r) for r in right),
+        tuple(tuple(r) for r in right) if _right else None,
     )
 
 
@@ -164,7 +168,7 @@ def cokernel(m, width: int) -> tuple[tuple[int, ...], int, Matrix, Matrix]:
             tuple(int(i == j) for j in range(width)) for i in range(width)
         )
         return (), width, (), identity
-    left, diag, _ = smith_normal_form(m)
+    left, diag, _ = smith_normal_form(m, _right=False)
     k = len(m[0])
     factors = []
     torsion_rows = []
@@ -407,7 +411,7 @@ def subgroup_invariant_factors(s: Subgroup) -> FiniteAbelianGroup:
                 raise AssertionError("relations do not lie in the subgroup lattice")
             row.append(q)
         rows.append(row)
-    _, diag, _ = smith_normal_form(rows)
+    _, diag, _ = smith_normal_form(rows, _right=False)
     factors = tuple(diag[i][i] for i in range(k) if diag[i][i] > 1)
     return FiniteAbelianGroup(factors)
 

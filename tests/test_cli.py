@@ -175,6 +175,32 @@ def test_non_dominant_weight_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_grade_negative_weight_is_positional(capsys):
+    assert run(["grade", "A2", "-1,0"]) == 0
+    assert capsys.readouterr().out == "class: 1 in Z/3\n"
+
+
+@pytest.mark.parametrize(
+    "argv, escaped",
+    [
+        ("grade A2 -1,0", "grade A2 -- -1,0"),
+        ("grade A2 -1,0 --format json", "grade --format json A2 -- -1,0"),
+        ("grade A1 -3", "grade A1 -- -3"),
+        ("weights A2 -1,0", "weights A2 -- -1,0"),
+        ("dim A2 -1,2 --format json", "dim --format json A2 -- -1,2"),
+        ("tensor A2 -1,0 1,0", "tensor A2 -- -1,0 1,0"),
+        ("tensor A2 1,0 -2,1", "tensor A2 1,0 -- -2,1"),
+        ("equiv A2 1,0 -1,-1 --bound 1", "equiv A2 --bound 1 1,0 -- -1,-1"),
+    ],
+)
+def test_negative_weight_reads_as_after_double_dash(capsys, argv, escaped):
+    code = run(argv.split())
+    first = capsys.readouterr()
+    assert run(escaped.split()) == code
+    assert capsys.readouterr() == first
+    assert "unrecognized arguments" not in first.err
+
+
 def test_enumeration_cap_exits_1(capsys):
     big = "x".join(["A1"] * 7)
     assert run(["classify", big]) == 1

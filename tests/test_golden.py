@@ -18,6 +18,8 @@ CASES = {
     "atlas_r4_b2.json": "atlas --max-rank 4 --bound 2 --format json",
     # grade carries the class map, which the atlas JSON does not
     "grade_d4_b2.json": "grade D4 --bound 2 --format json",
+    # the Z/2 x Z/2 class map through a 35 x 3308 Smith form
+    "grade_d4_b3.json": "grade D4 --bound 3 --format json",
     "classify_d4.json": "classify D4 --format json",
 }
 

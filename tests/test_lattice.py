@@ -1,5 +1,6 @@
 """Normal forms, the weight-class group, and the subgroup lattice."""
 
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from rootatlas.lattice import (
     FiniteAbelianGroup,
     adjoint_diagram,
     center_char_group,
+    cokernel,
     diagrams,
     enumerate_subgroups,
     fundamental_group,
@@ -100,6 +102,66 @@ def test_snf_properties(rows, cols, data):
             assert b % a == 0
     if rows == cols:
         assert abs(_det(m)) == _det(diag) * abs(_det(left)) * abs(_det(right))
+
+
+def test_snf_public_signature():
+    params = inspect.signature(smith_normal_form).parameters.values()
+    assert [p.name for p in params if not p.name.startswith("_")] == ["m"]
+    assert all(p.kind is p.KEYWORD_ONLY for p in params if p.name.startswith("_"))
+
+
+def _unimodular(draw, n):
+    """A unit lower times a unit upper triangular n x n integer matrix."""
+    entry = st.integers(min_value=-2, max_value=2)
+
+    def unit(below):
+        return [
+            [1 if i == j else draw(entry) if (i > j) == below else 0 for j in range(n)]
+            for i in range(n)
+        ]
+
+    return _matmul(unit(True), unit(False))
+
+
+@st.composite
+def _relation_matrices(draw):
+    """Wide, zero, rank-deficient and torsion-rich integer matrices
+    (width x k)."""
+    width = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=0, max_value=12))
+    kind = draw(st.sampled_from(["random", "zero", "deficient", "torsion"]))
+    entry = st.integers(min_value=-6, max_value=6)
+    if kind == "zero" or k == 0:
+        return width, [[0] * k for _ in range(width)]
+    if kind == "random":
+        return width, [[draw(entry) for _ in range(k)] for _ in range(width)]
+    if kind == "torsion":
+        # diagonal entries with no divisibility chain, hidden by unimodular
+        # row and column operations, so the pivot must be fixed up
+        d = [
+            [draw(st.integers(0, 6)) if i == j else 0 for j in range(k)]
+            for i in range(width)
+        ]
+        m = _matmul(_matmul(_unimodular(draw, width), d), _unimodular(draw, k))
+        return width, [list(row) for row in m]
+    # rank <= r: a width x r factor times an r x k factor
+    r = draw(st.integers(min_value=1, max_value=max(1, min(width, k) - 1)))
+    x = [[draw(entry) for _ in range(r)] for _ in range(width)]
+    y = [[draw(entry) for _ in range(k)] for _ in range(r)]
+    return width, [list(row) for row in _matmul(x, y)]
+
+
+@given(_relation_matrices())
+@settings(max_examples=150, deadline=None)
+def test_cokernel_reads_smith_left_and_diag(case):
+    width, m = case
+    factors, free, torsion_rows, free_rows = cokernel(m, width)
+    left, diag, _ = smith_normal_form(m)
+    d = [diag[i][i] if i < len(diag[0]) else 0 for i in range(width)]
+    assert factors == tuple(x for x in d if x > 1)
+    assert free == d.count(0)
+    assert torsion_rows == tuple(left[i] for i in range(width) if d[i] > 1)
+    assert free_rows == tuple(left[i] for i in range(width) if d[i] == 0)
 
 
 FUNDAMENTAL_GROUPS = {
