@@ -4,14 +4,17 @@ Verbs mirror the library: inspect root systems, compute dimensions and
 weight multiplicities, decompose tensor products, present grading groups,
 search for tensor-generation certificates, and emit the classification
 atlas.  Exit status is 0 on success, 1 when a computation refuses to run
-(an enumeration cap was hit), 2 on bad input.
+(an enumeration cap was hit), 2 on bad input, and 141 (128 + SIGPIPE)
+when stdout is closed before the output is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import signal
 import sys
 
 from .classify import (
@@ -321,13 +324,39 @@ def _cmd_atlas(args) -> int:
     return 0
 
 
+_NEGATIVE_WEIGHT = re.compile(r"-\d")
+
+
 class _Parser(argparse.ArgumentParser):
     """Reads ``-1,0`` as a weight, not an option: argparse alone does so
     only for a bare number, and no option here starts with a digit."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\d")
+        self._negative_number_matcher = _NEGATIVE_WEIGHT
+
+
+def _take_grade_weight(args, extras: list[str]) -> list[str]:
+    """Give ``grade`` back a weight that follows an option.
+
+    argparse fills the optional weight with nothing as soon as an option
+    follows the type, so in ``grade A2 --bound 2 1,0`` the weight ends up
+    among the unrecognized arguments, behind ``--`` if one was given.  (Its
+    ``parse_intermixed_args`` refuses a parser with subparsers.)  Returns
+    the arguments that are still unrecognized.
+    """
+    if args.command != "grade" or args.weight is not None:
+        return extras
+    dashed = extras[:1] == ["--"]
+    rest = extras[dashed:]
+    if len(rest) > 1:
+        return extras
+    if rest:
+        token = rest[0]
+        if not dashed and token.startswith("-") and not _NEGATIVE_WEIGHT.match(token):
+            return extras
+        args.weight = token
+    return []
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -436,7 +465,10 @@ def _validate(args) -> str | None:
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        extras = _take_grade_weight(args, extras)
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     problem = _validate(args)
@@ -454,7 +486,16 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``| head``): nothing more can be
+        # written, so point stdout at devnull to keep the exit-time flush
+        # from failing too, and exit as a process killed by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 128 + signal.SIGPIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

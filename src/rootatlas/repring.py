@@ -6,6 +6,20 @@ signed straightening of rho-shifted weights.  Two independent routes are
 deliberately kept: dimensions can be cross-checked as the total mass of
 the weight multiset, and decompositions against the convolution of weight
 multisets.  All values are exact integers.
+
+Three module caches keep work that repeats across calls, and every call
+returns a fresh dict, so a caller may change what it gets:
+
+- ``_DOMINANT_TABLES``: dominant multiplicities, keyed by (type components,
+  highest weight);
+- ``_ORBITS``: the Weyl orbit of each dominant weight, keyed by (type
+  components, dominant weight), as one flat tuple of coordinates;
+- ``_TENSOR_CACHE``: decompositions, keyed by (type components, smaller
+  weight, larger weight), so both argument orders share an entry and a hit
+  computes no Weyl dimension.
+
+The highest weights in cached decompositions are shared tuples, interned
+through ``_CONSTITUENTS``.
 """
 
 from __future__ import annotations
@@ -110,18 +124,33 @@ def dominant_weight_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, 
     return dict(table)
 
 
+# each orbit is one flat tuple, since a tuple per point costs about three
+# times the memory; it keeps the orbit frozenset's iteration order, which
+# fixes the item order of weight multisets
+_ORBITS: dict[tuple, tuple[int, ...]] = {}
+
+
 def weight_multiplicities(rs: RootSystem, lam: Weight) -> WeightMultiset:
     """The full weight multiset of V(lam): Weyl-invariant, total mass the
     Weyl dimension."""
     table = dominant_weight_multiplicities(rs, lam)
+    components = rs.cartan_type.components
+    rank = rs.rank
     out: WeightMultiset = {}
     for mu, m in table.items():
-        for w in weyl_orbit(rs, mu):
+        key = (components, mu)
+        flat = _ORBITS.get(key)
+        if flat is None:
+            flat = _ORBITS[key] = tuple(c for w in weyl_orbit(rs, mu) for c in w)
+        for w in zip(*[iter(flat)] * rank):
             out[w] = m
     return out
 
 
 _TENSOR_CACHE: dict[tuple, Decomposition] = {}
+# one shared tuple per highest weight, so that cached decompositions do not
+# each hold their own copy
+_CONSTITUENTS: dict[Weight, Weight] = {}
 
 
 def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
@@ -134,12 +163,12 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
     """
     _require_dominant(rs, lam)
     _require_dominant(rs, mu)
-    if (weyl_dim(rs, mu), mu) > (weyl_dim(rs, lam), lam):
-        lam, mu = mu, lam
-    key = (rs.cartan_type.components, lam, mu)
+    key = (rs.cartan_type.components, min(lam, mu), max(lam, mu))
     cached = _TENSOR_CACHE.get(key)
     if cached is not None:
         return dict(cached)
+    if (weyl_dim(rs, mu), mu) > (weyl_dim(rs, lam), lam):
+        lam, mu = mu, lam
 
     rank = rs.rank
     cols = rs.reflection_cols
@@ -168,10 +197,15 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
             sign = -sign
         if wall:
             continue
-        child = tuple(c - 1 for c in vec)
+        # keyed by the rho-shifted weight; rho comes off the survivors below
+        child = tuple(vec)
         acc[child] = acc.get(child, 0) + sign * mult
 
-    result = {w: m for w, m in acc.items() if m}
+    result = {}
+    for w, m in acc.items():
+        if m:
+            child = tuple(c - 1 for c in w)
+            result[_CONSTITUENTS.setdefault(child, child)] = m
     if any(m < 0 for m in result.values()):
         raise AssertionError("cancellation must leave positives")
     _TENSOR_CACHE[key] = result

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -199,6 +200,52 @@ def test_negative_weight_reads_as_after_double_dash(capsys, argv, escaped):
     assert run(escaped.split()) == code
     assert capsys.readouterr() == first
     assert "unrecognized arguments" not in first.err
+
+
+@pytest.mark.parametrize(
+    "argv, working",
+    [
+        ("grade A2 --format json 1,0", "grade --format json A2 1,0"),
+        ("grade A2 --bound 2 1,0", "grade A2 1,0 --bound 2"),
+        ("grade A2 --format json -- -1,0", "grade --format json A2 -- -1,0"),
+    ],
+)
+def test_grade_weight_after_option(capsys, argv, working):
+    assert run(working.split()) == 0
+    expected = capsys.readouterr()
+    assert run(argv.split()) == 0
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize(
+    "argv, rest",
+    [
+        ("grade A2 --bound 2 1,0 2,0", "1,0 2,0"),
+        ("grade A2 1,0 --bound 2 2,0", "2,0"),
+        ("grade A2 --format json -x", "-x"),
+        ("dim A2 --format json 1,0 2,0", "2,0"),
+    ],
+)
+def test_extra_arguments_still_rejected(capsys, argv, rest):
+    assert run(argv.split()) == 2
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {rest}\n")
+
+
+def test_closed_stdout_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rootatlas", "grade", "--format", "json", "A2", "1,0"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 141
 
 
 def test_enumeration_cap_exits_1(capsys):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootatlas import repring
 from rootatlas.lattice import weight_class_data
 from rootatlas.repring import (
     clebsch_gordan_sl2,
@@ -27,6 +28,12 @@ _SYSTEMS = {
     name: build_root_system(parse_cartan_type(name))
     for name in ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "D4", "F4", "A1xA1"]
 }
+
+
+def _cold_caches(monkeypatch):
+    """Give repring empty module caches for the rest of the test."""
+    for name in ("_DOMINANT_TABLES", "_ORBITS", "_TENSOR_CACHE", "_CONSTITUENTS"):
+        monkeypatch.setattr(repring, name, {})
 
 
 # frozen dimensions for standard small modules
@@ -104,8 +111,10 @@ def test_weyl_dim_rejects_non_dominant():
         tensor_decompose(_SYSTEMS["A2"], (1, 0), (0, -1))
 
 
-def test_weyl_dim_matches_freudenthal_mass():
-    # two independent routes to the dimension must agree
+def test_weyl_dim_matches_freudenthal_mass(monkeypatch):
+    # two independent routes to the dimension must agree, on the first
+    # call and on the second, which reads the cached orbits
+    _cold_caches(monkeypatch)
     cases = [
         ("A1", (4,)),
         ("A2", (2, 1)),
@@ -121,7 +130,8 @@ def test_weyl_dim_matches_freudenthal_mass():
     ]
     for name, lam in cases:
         rs = _SYSTEMS[name]
-        assert sum(weight_multiplicities(rs, lam).values()) == weyl_dim(rs, lam)
+        for _ in range(2):
+            assert sum(weight_multiplicities(rs, lam).values()) == weyl_dim(rs, lam)
 
 
 def test_weight_multiplicities_trivial_and_small():
@@ -179,6 +189,63 @@ def test_tensor_examples():
 def test_tensor_argument_symmetry():
     a2 = _SYSTEMS["A2"]
     assert tensor_decompose(a2, (2, 0), (0, 1)) == tensor_decompose(a2, (0, 1), (2, 0))
+
+
+@pytest.mark.parametrize(
+    "name,lam,mu",
+    [
+        ("A2", (2, 0), (0, 1)),
+        ("A2", (1, 0), (0, 1)),
+        ("B3", (1, 0, 1), (0, 1, 0)),
+        ("G2", (1, 1), (2, 0)),
+        ("D4", (0, 1, 0, 0), (1, 0, 1, 1)),
+    ],
+)
+def test_tensor_argument_order_keeps_item_order(monkeypatch, name, lam, mu):
+    rs = _SYSTEMS[name]
+    _cold_caches(monkeypatch)
+    first = list(tensor_decompose(rs, lam, mu).items())
+    assert list(tensor_decompose(rs, mu, lam).items()) == first
+    assert list(tensor_decompose(rs, lam, mu).items()) == first
+    _cold_caches(monkeypatch)
+    assert list(tensor_decompose(rs, mu, lam).items()) == first
+
+
+def test_mutating_results_leaves_caches_intact(monkeypatch):
+    rs = _SYSTEMS["B2"]
+    _cold_caches(monkeypatch)
+    for call in (
+        lambda: weight_multiplicities(rs, (1, 1)),
+        lambda: tensor_decompose(rs, (1, 1), (0, 2)),
+    ):
+        expected = list(call().items())
+        first = call()
+        first[(9, 9)] = 1
+        first[expected[0][0]] += 5
+        assert list(call().items()) == expected
+        call().clear()
+        assert list(call().items()) == expected
+
+
+def test_equal_rank_types_do_not_share_cache_entries(monkeypatch):
+    names = ["A2", "A1xA1", "B2", "C2", "G2"]
+
+    def compute(rs):
+        return (
+            list(weight_multiplicities(rs, (1, 1)).items()),
+            list(tensor_decompose(rs, (1, 0), (1, 1)).items()),
+        )
+
+    alone = {}
+    for name in names:
+        _cold_caches(monkeypatch)
+        alone[name] = compute(_SYSTEMS[name])
+    assert dict(alone["A1xA1"][0]) == {(1, 1): 1, (-1, 1): 1, (1, -1): 1, (-1, -1): 1}
+    assert dict(alone["A1xA1"][1]) == {(2, 1): 1, (0, 1): 1}
+    assert dict(alone["A2"][1]) == {(2, 1): 1, (0, 2): 1, (1, 0): 1}
+    _cold_caches(monkeypatch)
+    for name in names:
+        assert compute(_SYSTEMS[name]) == alone[name]
 
 
 def _convolve(x, y):
