@@ -76,39 +76,30 @@ def admissible_irreducible_types(max_rank: int) -> list[CartanType]:
 def label_diagram(d: Diagram, cap: int = DEFAULT_ENUMERATION_CAP) -> str:
     """Name a diagram by its place in the isogeny chain: the full subgroup
     is simply connected, the trivial one adjoint, anything else is numbered
-    among the intermediates in canonical order."""
+    among the intermediates in canonical order.  Only an intermediate needs
+    the (cached) enumeration, so the two ends are named above the cap too."""
     prefix = str(d.cartan_type)
     order = d.subgroup.order
-    total = fundamental_group(d.cartan_type).order
-    if order == total:
+    if order == fundamental_group(d.cartan_type).order:
         return f"{prefix} simply-connected"
     if order == 1:
         return f"{prefix} adjoint"
-    intermediates = [
-        x for x in diagrams(d.cartan_type, cap) if 1 < x.subgroup.order < total
-    ]
-    k = intermediates.index(d) + 1
+    # the simply connected diagram is at 0, so intermediates count from 1
+    k = diagrams(d.cartan_type, cap).index(d)
     return f"{prefix} intermediate#{k}"
 
 
 def hasse_edges(ds: list[Diagram]) -> tuple[tuple[int, int], ...]:
     """Cover relations of the isogeny order, from larger lattice to smaller."""
-    n = len(ds)
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not isogeny_order(ds[i], ds[j]):
-                continue
-            if any(
-                k != i
-                and k != j
-                and isogeny_order(ds[i], ds[k])
-                and isogeny_order(ds[k], ds[j])
-                for k in range(n)
-            ):
-                continue
-            edges.append((i, j))
-    return tuple(sorted(edges))
+    idx = range(len(ds))
+    above = [[i != j and isogeny_order(ds[i], ds[j]) for j in idx] for i in idx]
+    # generated in (i, j) order, which is already sorted
+    return tuple(
+        (i, j)
+        for i in idx
+        for j in idx
+        if above[i][j] and not any(above[i][k] and above[k][j] for k in idx)
+    )
 
 
 def _entry_grading(
@@ -135,6 +126,18 @@ def _entry_grading(
     )
 
 
+def _diagram_infos(
+    t: CartanType, cap: int
+) -> tuple[tuple[DiagramInfo, ...], tuple[tuple[int, int], ...]]:
+    """Every diagram of ``t`` with its center and label, and the isogeny
+    cover edges between them, from one subgroup enumeration."""
+    ds = diagrams(t, cap)
+    infos = tuple(
+        DiagramInfo(d, center_char_group(d), label_diagram(d, cap)) for d in ds
+    )
+    return infos, hasse_edges(ds)
+
+
 def build_entry(
     t: CartanType,
     bound: int,
@@ -143,7 +146,7 @@ def build_entry(
 ) -> AtlasEntry:
     group = fundamental_group(t)
     try:
-        ds = diagrams(t, enumeration_cap)
+        infos, edges = _diagram_infos(t, enumeration_cap)
     except EnumerationCapError as exc:
         return AtlasEntry(
             cartan_type=t,
@@ -153,15 +156,11 @@ def build_entry(
             grading=GradingSummary(bound, None, None, "skipped: diagrams unavailable"),
             error=str(exc),
         )
-    infos = tuple(
-        DiagramInfo(d, center_char_group(d), label_diagram(d, enumeration_cap))
-        for d in ds
-    )
     return AtlasEntry(
         cartan_type=t,
         fundamental_group=group,
         diagrams=infos,
-        isogeny_edges=hasse_edges(ds),
+        isogeny_edges=edges,
         grading=_entry_grading(t, bound, grading_dim_cap),
         error=None,
     )

@@ -20,13 +20,11 @@ import sys
 from .classify import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_GRADING_DIM_CAP,
-    DiagramInfo,
+    _diagram_infos,
     atlas_to_json,
     build_atlas,
     decompose_semisimple,
     diagram_info_to_json,
-    hasse_edges,
-    label_diagram,
 )
 from .grading import (
     grading_class,
@@ -38,8 +36,6 @@ from .lattice import (
     EnumerationCapError,
     FiniteAbelianGroup,
     Subgroup,
-    center_char_group,
-    diagrams,
     fundamental_group,
 )
 from .repring import (
@@ -239,18 +235,13 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_classify(args) -> int:
     t = parse_cartan_type(args.type)
-    ds = diagrams(t, args.enumeration_cap)
-    infos = [
-        DiagramInfo(d, center_char_group(d), label_diagram(d, args.enumeration_cap))
-        for d in ds
-    ]
-    edges = hasse_edges(ds)
+    infos, edges = _diagram_infos(t, args.enumeration_cap)
     dec = decompose_semisimple(t)
     if args.format == "json":
         return _emit(
             {
                 "type": str(t),
-                "fundamental_group": list(fundamental_group(t).invariant_factors),
+                "fundamental_group": list(dec.fundamental_group.invariant_factors),
                 "components": [
                     {
                         "type": str(b.cartan_type),
@@ -264,7 +255,7 @@ def _cmd_classify(args) -> int:
             }
         )
     print(f"type: {t}")
-    print(f"fundamental group: {_fmt_group(fundamental_group(t))}")
+    print(f"fundamental group: {_fmt_group(dec.fundamental_group)}")
     parts = ", ".join(
         f"{b.cartan_type} (nodes {b.start}..{b.stop}, {_fmt_group(g)})"
         for b, g in zip(dec.components, dec.component_groups)
@@ -277,7 +268,7 @@ def _cmd_classify(args) -> int:
     print("isogeny edges:")
     for i, j in edges:
         print(f"  {infos[i].label} -> {infos[j].label}")
-    orders = [d.subgroup.order for d in ds]
+    orders = [info.diagram.subgroup.order for info in infos]
     if any(orders.count(o) > 1 for o in set(orders)):
         print(
             "note: subgroups of equal order are listed as distinct character "

@@ -199,6 +199,8 @@ class WeightClassData:
 
 
 _CLASS_DATA_CACHE: dict[tuple, WeightClassData] = {}
+# finished diagram lists, keyed by (type components, enumeration cap)
+_DIAGRAMS_CACHE: dict[tuple, tuple[Diagram, ...]] = {}
 
 
 def weight_class_data(t: CartanType) -> WeightClassData:
@@ -426,11 +428,15 @@ class Diagram:
 
 
 def diagrams(t: CartanType, cap: int = 64) -> list[Diagram]:
-    """All diagrams for ``t``, largest subgroup (simply connected) first."""
-    group = fundamental_group(t)
-    subs = enumerate_subgroups(group, cap)
-    subs.sort(key=lambda s: (-s.order, s.basis))
-    return [Diagram(t, s) for s in subs]
+    """All diagrams for ``t``, largest subgroup (simply connected) first,
+    enumerated once per (type, cap); each call returns a fresh list."""
+    key = (t.components, cap)
+    cached = _DIAGRAMS_CACHE.get(key)
+    if cached is None:
+        subs = enumerate_subgroups(fundamental_group(t), cap)
+        subs.sort(key=lambda s: (-s.order, s.basis))
+        cached = _DIAGRAMS_CACHE[key] = tuple(Diagram(t, s) for s in subs)
+    return list(cached)
 
 
 def simply_connected_diagram(t: CartanType) -> Diagram:

@@ -1,7 +1,11 @@
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rootatlas import lattice
 from rootatlas.classify import (
     admissible_irreducible_types,
     atlas_to_json,
@@ -9,9 +13,17 @@ from rootatlas.classify import (
     build_entry,
     decompose_semisimple,
     entry_to_json,
+    hasse_edges,
     label_diagram,
 )
-from rootatlas.lattice import diagrams, fundamental_group
+from rootatlas.cli import run
+from rootatlas.lattice import (
+    EnumerationCapError,
+    adjoint_diagram,
+    diagrams,
+    fundamental_group,
+    simply_connected_diagram,
+)
 from rootatlas.rootsys import parse_cartan_type
 
 
@@ -179,3 +191,101 @@ def test_b2_c2_both_present_and_distinct(name):
     assert str(entry.cartan_type) == name
     assert entry.fundamental_group.invariant_factors == (2,)
     assert len(entry.diagrams) == 2
+
+
+def _oracle_covers(ds):
+    """Cover pairs of the isogeny order read from element-set inclusion,
+    without the library's lattice membership test."""
+    sets = [d.subgroup.elements() for d in ds]
+    n = len(ds)
+    return tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+        and sets[j] <= sets[i]
+        and not any(
+            sets[j] <= sets[k] <= sets[i] for k in range(n) if k not in (i, j)
+        )
+    )
+
+
+_ORACLE_TYPES = ["A3", "D4", "A1xA3", "A1xA1xA1"]
+
+
+@pytest.mark.parametrize("name", _ORACLE_TYPES)
+def test_hasse_edges_match_inclusion_oracle(name):
+    ds = diagrams(parse_cartan_type(name))
+    assert hasse_edges(ds) == _oracle_covers(ds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(_ORACLE_TYPES).flatmap(
+        lambda name: st.lists(
+            st.sampled_from(diagrams(parse_cartan_type(name))), max_size=9
+        )
+    )
+)
+def test_hasse_edges_on_sublists_with_repeats(ds):
+    assert hasse_edges(ds) == _oracle_covers(ds)
+
+
+def test_hasse_edges_refuses_mixed_types():
+    a1 = diagrams(parse_cartan_type("A1"))
+    b2 = diagrams(parse_cartan_type("B2"))
+    with pytest.raises(ValueError, match="different Cartan types"):
+        hasse_edges([a1[0], b2[0]])
+    with pytest.raises(ValueError, match="different Cartan types"):
+        hasse_edges(a1 + b2[1:])
+
+
+def _count_enumerations(monkeypatch):
+    calls = []
+    enumerate_subgroups = lattice.enumerate_subgroups
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_subgroups(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "enumerate_subgroups", counted)
+    return calls
+
+
+def test_classify_enumerates_once(monkeypatch, capsys):
+    calls = _count_enumerations(monkeypatch)
+    monkeypatch.setattr(lattice, "_DIAGRAMS_CACHE", {})
+    assert run(["classify", "A1xA1xA1xA1"]) == 0
+    assert "[66] A1xA1xA1xA1 adjoint" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_build_entry_enumerates_once(monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    monkeypatch.setattr(lattice, "_DIAGRAMS_CACHE", {})
+    entry = build_entry(parse_cartan_type("A1xA1xA1xA1"), bound=1)
+    assert len(entry.diagrams) == 67
+    assert len(calls) == 1
+
+
+def test_ends_are_labelled_above_the_cap():
+    t = parse_cartan_type("x".join(["A1"] * 7))
+    name = str(t)
+    assert label_diagram(simply_connected_diagram(t)) == f"{name} simply-connected"
+    assert label_diagram(adjoint_diagram(t)) == f"{name} adjoint"
+
+
+def test_intermediate_label_needs_the_cap():
+    middle = diagrams(parse_cartan_type("D4"))[2]
+    assert label_diagram(middle) == "D4 intermediate#2"
+    with pytest.raises(EnumerationCapError):
+        label_diagram(middle, cap=3)
+
+
+def test_classify_a1x5_output_pinned(capsys):
+    # P/Q of order 32: 374 diagrams, each labelled from one enumeration
+    assert run(["classify", "A1xA1xA1xA1xA1", "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "e628a5d74ea7e99eaff9c0f0910dbaf1de60fae12419c630e941b0d4976fdde4"
+    )

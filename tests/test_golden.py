@@ -21,6 +21,8 @@ CASES = {
     # the Z/2 x Z/2 class map through a 35 x 3308 Smith form
     "grade_d4_b3.json": "grade D4 --bound 3 --format json",
     "classify_d4.json": "classify D4 --format json",
+    # 67 diagrams whose isogeny order is not a chain: labels and cover edges
+    "classify_a1x4.json": "classify A1xA1xA1xA1 --format json",
 }
 
 

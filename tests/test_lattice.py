@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootatlas import lattice
 from rootatlas.lattice import (
     Diagram,
     EnumerationCapError,
@@ -390,3 +391,28 @@ def test_d4_middle_subgroups_incomparable():
 def test_subgroup_generator_length_checked():
     with pytest.raises(ValueError):
         subgroup_from_generators(FiniteAbelianGroup((2, 2)), [(1,)])
+
+
+def test_diagrams_returns_fresh_lists(monkeypatch):
+    monkeypatch.setattr(lattice, "_DIAGRAMS_CACHE", {})
+    t = parse_cartan_type("D4")
+    first = diagrams(t)
+    whole = list(first)
+    first.clear()
+    assert diagrams(t) == whole
+    assert diagrams(t) is not diagrams(t)
+
+
+def test_diagrams_cache_keeps_the_cap(monkeypatch):
+    monkeypatch.setattr(lattice, "_DIAGRAMS_CACHE", {})
+    t = parse_cartan_type("D4")
+    with pytest.raises(EnumerationCapError) as cold:
+        diagrams(t, cap=3)
+    assert len(diagrams(t)) == 5
+    # a smaller cap still refuses after the default cap has been cached
+    with pytest.raises(EnumerationCapError) as warm:
+        diagrams(t, cap=3)
+    assert str(warm.value) == str(cold.value)
+    assert str(warm.value) == "group of order 4 exceeds the enumeration cap 3"
+    # and the refusal was not stored
+    assert list(lattice._DIAGRAMS_CACHE) == [(t.components, 64)]
