@@ -26,92 +26,64 @@ def smith_normal_form(m, *, _right=True) -> tuple[Matrix, Matrix, Matrix]:
 
     Returns (left, diag, right) with left*m*right == diag, both transforms
     unimodular, and the diagonal nonnegative with each entry dividing the
-    next.  Works for any shape, including empty matrices.  Inside this
-    module, ``_right=False`` returns None for right and skips building it
-    (columns x columns: one per relation of a cokernel); left and diag
-    come from the same operations either way.
+    next.  Works for any shape, including empty matrices; rows of unequal
+    length raise ValueError.  Inside this module, ``_right=False`` returns
+    None for right and skips building it (columns x columns: one per
+    relation of a cokernel); left and diag come from the same operations
+    either way.
     """
     a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
+    if any(len(row) != cols for row in a):
+        raise ValueError(f"rows of unequal lengths {[len(row) for row in a]}")
     left = [[int(i == j) for j in range(rows)] for i in range(rows)]
     # with no rows to update, the column operations touch only ``a``
     right = [[int(i == j) for j in range(cols)] for i in range(cols)] if _right else []
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row_dst += q * row_src
-        arow, lrow = a[src], left[src]
-        for k in range(cols):
-            a[dst][k] += q * arow[k]
-        for k in range(rows):
-            left[dst][k] += q * lrow[k]
-
-    def add_col(src, dst, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in right:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
-
-    n = min(rows, cols)
-    for t in range(n):
+    for t in range(min(rows, cols)):
         while True:
-            # locate a nonzero entry of least magnitude in the submatrix
-            pivot = None
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    v = abs(a[i][j])
-                    if v and (best is None or v < best):
-                        best, pivot = v, (i, j)
-            if pivot is None:
+            # the first entry of least magnitude in row-major order; no
+            # nonzero entry is smaller than a unit, so the search stops there
+            best, i = 0, t
+            for k in range(t, rows):
+                v = min(map(abs, filter(None, a[k][t:])), default=0)
+                if v and (not best or v < best):
+                    best, i = v, k
+                    if v == 1:
+                        break
+            if not best:
                 break
-            i, j = pivot
-            if i != t:
-                swap_rows(t, i)
+            j = t + list(map(abs, a[i][t:])).index(best)
+            a[t], a[i] = a[i], a[t]
+            left[t], left[i] = left[i], left[t]
             if j != t:
-                swap_cols(t, j)
-            # clear the pivot column and row by division
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
-                    if a[i][t]:
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    add_col(t, j, -(a[t][j] // a[t][t]))
-                    if a[t][j]:
-                        dirty = True
-            if dirty:
+                for row in itertools.chain(a, right):
+                    row[t], row[j] = row[j], row[t]
+            # clear the pivot column with multiples of row t, then the pivot
+            # row with multiples of column t; neither pass changes its source
+            p, top, top_left = a[t][t], a[t], left[t]
+            for k in range(t + 1, rows):
+                if q := a[k][t] // p:
+                    a[k] = [x - q * y for x, y in zip(a[k], top)]
+                    left[k] = [x - q * y for x, y in zip(left[k], top_left)]
+            qs = [0] * (t + 1) + [x // p for x in top[t + 1:]]
+            for mat in (a, right):
+                for k, row in enumerate(mat):
+                    if c := row[t]:
+                        mat[k] = [x - q * c for x, q in zip(row, qs)]
+            if any(row[t] for row in a[t + 1:]) or any(a[t][t + 1:]):
                 continue
             # enforce divisibility of the remaining submatrix by the pivot
-            stray = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t]:
-                        stray = i
-                        break
-                if stray is not None:
-                    break
+            strays = (k for k in range(t + 1, rows) if any(x % p for x in a[k][t + 1:]))
+            stray = next(strays, None) if abs(p) > 1 else None
             if stray is None:
                 break
-            add_row(stray, t, 1)
+            a[t] = [x + y for x, y in zip(a[t], a[stray])]
+            left[t] = [x + y for x, y in zip(left[t], left[stray])]
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
+            left[t] = [-x for x in left[t]]
 
     return (
         tuple(tuple(r) for r in left),
@@ -162,12 +134,15 @@ def cokernel(m, width: int) -> tuple[tuple[int, ...], int, Matrix, Matrix]:
     Returns (invariant factors > 1, free rank, torsion rows, free rows):
     the listed rows of the left Smith transform project a vector onto its
     torsion coordinates (to be taken mod the factors) and free coordinates.
+    An empty ``m`` means no relations; any other must have ``width`` rows.
     """
-    if not m or not m[0]:
+    if not m:
         identity = tuple(
             tuple(int(i == j) for j in range(width)) for i in range(width)
         )
         return (), width, (), identity
+    if len(m) != width:
+        raise ValueError(f"relation matrix has {len(m)} rows, expected {width}")
     left, diag, _ = smith_normal_form(m, _right=False)
     k = len(m[0])
     factors = []

@@ -20,6 +20,8 @@ CASES = {
     "grade_d4_b2.json": "grade D4 --bound 2 --format json",
     # the Z/2 x Z/2 class map through a 35 x 3308 Smith form
     "grade_d4_b3.json": "grade D4 --bound 3 --format json",
+    # a Z/5 class map read from the left transform of a 35 x 2234 Smith form
+    "grade_a4_b3.json": "grade A4 --bound 3 --format json",
     "classify_d4.json": "classify D4 --format json",
     # 67 diagrams whose isogeny order is not a chain: labels and cover edges
     "classify_a1x4.json": "classify A1xA1xA1xA1 --format json",

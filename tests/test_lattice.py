@@ -1,7 +1,9 @@
 """Normal forms, the weight-class group, and the subgroup lattice."""
 
+import hashlib
 import inspect
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootatlas import lattice
+from rootatlas.grading import grading_presentation
 from rootatlas.lattice import (
     Diagram,
     EnumerationCapError,
@@ -109,6 +112,75 @@ def test_snf_public_signature():
     params = inspect.signature(smith_normal_form).parameters.values()
     assert [p.name for p in params if not p.name.startswith("_")] == ["m"]
     assert all(p.kind is p.KEYWORD_ONLY for p in params if p.name.startswith("_"))
+
+
+def _relation_matrix(pres):
+    """The generators x relations matrix that ``universal_grading_group``
+    hands to ``cokernel``."""
+    index = {g: i for i, g in enumerate(pres.generators)}
+    m = [[0] * len(pres.relations) for _ in index]
+    for j, r in enumerate(pres.relations):
+        m[index[r.child]][j] += 1
+        m[index[r.left]][j] -= 1
+        m[index[r.right]][j] -= 1
+    return m
+
+
+def _snf_corpus():
+    """Seeded small matrices with many ties of magnitude, some with a unit
+    placed after larger entries, and the bound-2 relation matrices of five
+    types."""
+    rng = random.Random(20071)
+    out = []
+    for n in range(500):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 9)
+        m = [
+            [rng.randint(-30, 30) if rng.random() > 0.3 else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        if n % 4 == 0 and rows * cols > 1:
+            k = rng.randrange(rows * cols // 2, rows * cols)
+            m[k // cols][k % cols] = rng.choice((-1, 1))
+        out.append(m)
+    for name in ("A3", "B3", "C3", "D4", "G2"):
+        rs = build_root_system(parse_cartan_type(name))
+        out.append(_relation_matrix(grading_presentation(rs, 2)))
+    return out
+
+
+# written with the previous implementation; the class maps of the goldens
+# are read from these left transforms
+SNF_CORPUS_SHA256 = "d25d794d0bec0b0826610a4ac76289d2863602ac5cceed8979ec2aa9593ce938"
+
+
+def test_snf_transforms_pinned():
+    """Every pivot choice and every row and column operation, in order:
+    any change moves some transform of the corpus."""
+    results = [
+        (smith_normal_form(m), smith_normal_form(m, _right=False)[:2])
+        for m in _snf_corpus()
+    ]
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == SNF_CORPUS_SHA256
+
+
+def test_snf_rejects_ragged_rows():
+    with pytest.raises(ValueError, match=r"unequal lengths \[1, 2\]"):
+        smith_normal_form([[1], [2, 3]])
+    with pytest.raises(ValueError):
+        smith_normal_form([[1, 2], [3]], _right=False)
+
+
+def test_cokernel_checks_the_row_count():
+    with pytest.raises(ValueError, match="has 2 rows, expected 1"):
+        cokernel([[1], [2]], 1)
+    with pytest.raises(ValueError):
+        cokernel([[1, 0]], 2)
+    with pytest.raises(ValueError, match="unequal lengths"):
+        cokernel([[], [1]], 2)
+    # no relations: the free group of the given width
+    assert cokernel([], 2) == ((), 2, (), ((1, 0), (0, 1)))
+    assert cokernel([[], []], 2) == ((), 2, (), ((1, 0), (0, 1)))
 
 
 def _unimodular(draw, n):
