@@ -17,11 +17,13 @@ from .grading import (
     matches_fundamental_group,
 )
 from .lattice import (
+    DEFAULT_ENUMERATION_CAP,
     ComponentBlock,
     Diagram,
     EnumerationCapError,
     FiniteAbelianGroup,
     Subgroup,
+    _diagrams,
     center_char_group,
     diagrams,
     fundamental_group,
@@ -29,9 +31,8 @@ from .lattice import (
     isogeny_order,
 )
 from .repring import dominant_weights_up_to, weyl_dim
-from .rootsys import CartanType, build_root_system, parse_cartan_type
+from .rootsys import CartanType, CartanTypeError, build_root_system, parse_cartan_type
 
-DEFAULT_ENUMERATION_CAP = 64
 DEFAULT_GRADING_DIM_CAP = 20_000_000
 
 
@@ -68,7 +69,7 @@ def admissible_irreducible_types(max_rank: int) -> list[CartanType]:
         for family in "ABCDEFG":
             try:
                 found.append(parse_cartan_type(f"{family}{rank}"))
-            except Exception:
+            except CartanTypeError:
                 continue
     return found
 
@@ -85,7 +86,9 @@ def label_diagram(d: Diagram, cap: int = DEFAULT_ENUMERATION_CAP) -> str:
     if order == 1:
         return f"{prefix} adjoint"
     # the simply connected diagram is at 0, so intermediates count from 1
-    k = diagrams(d.cartan_type, cap).index(d)
+    k = _diagrams(d.cartan_type, cap).get(d)
+    if k is None:
+        raise ValueError(f"{d} is not among the diagrams of {prefix}")
     return f"{prefix} intermediate#{k}"
 
 

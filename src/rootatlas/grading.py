@@ -9,12 +9,14 @@ exhibiting a tensor word containing both.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .lattice import FiniteAbelianGroup, cokernel, weight_class_data
 from .repring import dominant_weights_up_to, tensor_decompose
-from .rootsys import RootSystem, Weight, _check_weight, _require_dominant
+from .rootsys import CartanType, RootSystem, Weight, build_root_system
+from .rootsys import _check_weight, _require_dominant
 
 
 @dataclass(frozen=True)
@@ -152,25 +154,17 @@ def matches_fundamental_group(pres: GradingPresentation, rs: RootSystem) -> bool
     return len(image) == group.order and len(set(image.values())) == group.order
 
 
-_WORD_CACHE: dict[tuple, frozenset[Weight]] = {}
-
-
-def _word_constituents(rs: RootSystem, word: tuple[Weight, ...]) -> frozenset[Weight]:
-    key = (rs.cartan_type.components, word)
-    cached = _WORD_CACHE.get(key)
-    if cached is not None:
-        return cached
+# keyed by the components tuple, since a CartanType hashes in Python
+@functools.cache
+def _word_constituents(components: tuple, word: tuple) -> frozenset[Weight]:
     if len(word) == 1:
-        result = frozenset(word)
-    else:
-        prefix = _word_constituents(rs, word[:-1])
-        last = word[-1]
-        out = set()
-        for nu in prefix:
-            out.update(tensor_decompose(rs, nu, last))
-        result = frozenset(out)
-    _WORD_CACHE[key] = result
-    return result
+        return frozenset(word)
+    rs = build_root_system(CartanType(components))
+    last = word[-1]
+    out = set()
+    for nu in _word_constituents(components, word[:-1]):
+        out.update(tensor_decompose(rs, nu, last))
+    return frozenset(out)
 
 
 def tensor_equivalent(
@@ -194,9 +188,10 @@ def tensor_equivalent(
     if a == b:
         return (a,)
     factors = dominant_weights_up_to(rs, bound)
+    components = rs.cartan_type.components
     for length in range(2, depth + 1):
         for word in itertools.combinations_with_replacement(factors, length):
-            constituents = _word_constituents(rs, word)
+            constituents = _word_constituents(components, word)
             if a in constituents and b in constituents:
                 return word
     return None

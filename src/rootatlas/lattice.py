@@ -8,6 +8,7 @@ transforms that the caller reads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import prod
@@ -15,6 +16,9 @@ from math import prod
 from .rootsys import CartanType, RootSystem, Weight, _check_weight, cartan_matrix
 
 Matrix = tuple[tuple[int, ...], ...]
+
+# the largest weight-class group whose subgroups are enumerated by default
+DEFAULT_ENUMERATION_CAP = 64
 
 
 class EnumerationCapError(RuntimeError):
@@ -173,21 +177,12 @@ class WeightClassData:
         )
 
 
-_CLASS_DATA_CACHE: dict[tuple, WeightClassData] = {}
-# finished diagram lists, keyed by (type components, enumeration cap)
-_DIAGRAMS_CACHE: dict[tuple, tuple[Diagram, ...]] = {}
-
-
+@functools.cache
 def weight_class_data(t: CartanType) -> WeightClassData:
-    data = _CLASS_DATA_CACHE.get(t.components)
-    if data is None:
-        m = cartan_matrix(t)
-        factors, free, torsion_rows, _ = cokernel(m, t.rank)
-        if free:
-            raise AssertionError("Cartan matrix is nonsingular")
-        data = WeightClassData(FiniteAbelianGroup(factors), torsion_rows)
-        _CLASS_DATA_CACHE[t.components] = data
-    return data
+    factors, free, torsion_rows, _ = cokernel(cartan_matrix(t), t.rank)
+    if free:
+        raise AssertionError("Cartan matrix is nonsingular")
+    return WeightClassData(FiniteAbelianGroup(factors), torsion_rows)
 
 
 def fundamental_group(t: CartanType) -> FiniteAbelianGroup:
@@ -327,7 +322,9 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def enumerate_subgroups(group: FiniteAbelianGroup, cap: int = 64) -> list[Subgroup]:
+def enumerate_subgroups(
+    group: FiniteAbelianGroup, cap: int = DEFAULT_ENUMERATION_CAP
+) -> list[Subgroup]:
     """All subgroups, sorted by (order, canonical basis).
 
     Candidates are the Hermite-form bases of full-rank lattices between
@@ -402,16 +399,18 @@ class Diagram:
     subgroup: Subgroup
 
 
-def diagrams(t: CartanType, cap: int = 64) -> list[Diagram]:
+def diagrams(t: CartanType, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Diagram]:
     """All diagrams for ``t``, largest subgroup (simply connected) first,
     enumerated once per (type, cap); each call returns a fresh list."""
-    key = (t.components, cap)
-    cached = _DIAGRAMS_CACHE.get(key)
-    if cached is None:
-        subs = enumerate_subgroups(fundamental_group(t), cap)
-        subs.sort(key=lambda s: (-s.order, s.basis))
-        cached = _DIAGRAMS_CACHE[key] = tuple(Diagram(t, s) for s in subs)
-    return list(cached)
+    return list(_diagrams(t, cap))
+
+
+# the diagrams in order, each mapped to the position label_diagram reads
+@functools.cache
+def _diagrams(t: CartanType, cap: int) -> dict[Diagram, int]:
+    subs = enumerate_subgroups(fundamental_group(t), cap)
+    subs.sort(key=lambda s: (-s.order, s.basis))
+    return {Diagram(t, s): i for i, s in enumerate(subs)}
 
 
 def simply_connected_diagram(t: CartanType) -> Diagram:

@@ -7,14 +7,16 @@ deliberately kept: dimensions can be cross-checked as the total mass of
 the weight multiset, and decompositions against the convolution of weight
 multisets.  All values are exact integers.
 
-Three module caches keep work that repeats across calls, and every call
-returns a fresh dict, so a caller may change what it gets:
+Three ``functools.cache`` helpers keep work that repeats across calls,
+and every call returns a fresh dict, so a caller may change what it gets.
+Each is keyed by ``rs.cartan_type.components``, a plain tuple where a
+CartanType would hash in Python, and builds the root system on a miss:
 
-- ``_DOMINANT_TABLES``: dominant multiplicities, keyed by (type components,
+- ``_dominant_table``: dominant multiplicities, keyed by (type components,
   highest weight);
-- ``_ORBITS``: the Weyl orbit of each dominant weight, keyed by (type
+- ``_flat_orbit``: the Weyl orbit of each dominant weight, keyed by (type
   components, dominant weight), as one flat tuple of coordinates;
-- ``_TENSOR_CACHE``: decompositions, keyed by (type components, smaller
+- ``_decomposition``: decompositions, keyed by (type components, smaller
   weight, larger weight), so both argument orders share an entry and a hit
   computes no Weyl dimension.
 
@@ -24,10 +26,14 @@ through ``_CONSTITUENTS``.
 
 from __future__ import annotations
 
+import functools
+
 from .rootsys import (
+    CartanType,
     RootSystem,
     Weight,
     _require_dominant,
+    build_root_system,
     dominant_representative,
     weyl_orbit,
 )
@@ -53,11 +59,6 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     return q
 
 
-# completed dominant-multiplicity tables, keyed by (type, highest weight);
-# only fully built tables are inserted, so concurrent readers are safe
-_DOMINANT_TABLES: dict[tuple, dict[Weight, int]] = {}
-
-
 def dominant_weight_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     """Multiplicities of the dominant weights of V(lam), by the Freudenthal
     recursion.
@@ -67,11 +68,12 @@ def dominant_weight_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, 
     from the already-known weights strictly above it along root strings.
     """
     _require_dominant(rs, lam)
-    key = (rs.cartan_type.components, lam)
-    cached = _DOMINANT_TABLES.get(key)
-    if cached is not None:
-        return dict(cached)
+    return dict(_dominant_table(rs.cartan_type.components, lam))
 
+
+@functools.cache
+def _dominant_table(components: tuple, lam: Weight) -> dict[Weight, int]:
+    rs = build_root_system(CartanType(components))
     rank = rs.rank
     norms = rs.simple_norms
     positive = rs.positive_root_data
@@ -119,15 +121,7 @@ def dominant_weight_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, 
         if r:
             raise AssertionError("Freudenthal recursion must divide exactly")
         table[mu] = mult
-
-    _DOMINANT_TABLES[key] = table
-    return dict(table)
-
-
-# each orbit is one flat tuple, since a tuple per point costs about three
-# times the memory; it keeps the orbit frozenset's iteration order, which
-# fixes the item order of weight multisets
-_ORBITS: dict[tuple, tuple[int, ...]] = {}
+    return table
 
 
 def weight_multiplicities(rs: RootSystem, lam: Weight) -> WeightMultiset:
@@ -138,16 +132,20 @@ def weight_multiplicities(rs: RootSystem, lam: Weight) -> WeightMultiset:
     rank = rs.rank
     out: WeightMultiset = {}
     for mu, m in table.items():
-        key = (components, mu)
-        flat = _ORBITS.get(key)
-        if flat is None:
-            flat = _ORBITS[key] = tuple(c for w in weyl_orbit(rs, mu) for c in w)
-        for w in zip(*[iter(flat)] * rank):
+        for w in zip(*[iter(_flat_orbit(components, mu))] * rank):
             out[w] = m
     return out
 
 
-_TENSOR_CACHE: dict[tuple, Decomposition] = {}
+# each orbit is one flat tuple, since a tuple per point costs about three
+# times the memory; it keeps the orbit frozenset's iteration order, which
+# fixes the item order of weight multisets
+@functools.cache
+def _flat_orbit(components: tuple, mu: Weight) -> tuple[int, ...]:
+    rs = build_root_system(CartanType(components))
+    return tuple(c for w in weyl_orbit(rs, mu) for c in w)
+
+
 # one shared tuple per highest weight, so that cached decompositions do not
 # each hold their own copy
 _CONSTITUENTS: dict[Weight, Weight] = {}
@@ -163,10 +161,12 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
     """
     _require_dominant(rs, lam)
     _require_dominant(rs, mu)
-    key = (rs.cartan_type.components, min(lam, mu), max(lam, mu))
-    cached = _TENSOR_CACHE.get(key)
-    if cached is not None:
-        return dict(cached)
+    return dict(_decomposition(rs.cartan_type.components, min(lam, mu), max(lam, mu)))
+
+
+@functools.cache
+def _decomposition(components: tuple, lam: Weight, mu: Weight) -> Decomposition:
+    rs = build_root_system(CartanType(components))
     if (weyl_dim(rs, mu), mu) > (weyl_dim(rs, lam), lam):
         lam, mu = mu, lam
 
@@ -208,8 +208,7 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
             result[_CONSTITUENTS.setdefault(child, child)] = m
     if any(m < 0 for m in result.values()):
         raise AssertionError("cancellation must leave positives")
-    _TENSOR_CACHE[key] = result
-    return dict(result)
+    return result
 
 
 def clebsch_gordan_sl2(m: int, n: int) -> Decomposition:

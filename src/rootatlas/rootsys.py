@@ -9,6 +9,7 @@ Python integers, no floating point anywhere.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -176,6 +177,7 @@ class RootSystem:
         return f"RootSystem({self.cartan_type})"
 
 
+@functools.cache
 def build_root_system(t: CartanType) -> RootSystem:
     """Construct the root system as the reflection closure of the simple roots."""
     m = cartan_matrix(t)

@@ -18,6 +18,7 @@ from rootatlas.classify import (
 )
 from rootatlas.cli import run
 from rootatlas.lattice import (
+    Diagram,
     EnumerationCapError,
     adjoint_diagram,
     diagrams,
@@ -254,7 +255,7 @@ def _count_enumerations(monkeypatch):
 
 def test_classify_enumerates_once(monkeypatch, capsys):
     calls = _count_enumerations(monkeypatch)
-    monkeypatch.setattr(lattice, "_DIAGRAMS_CACHE", {})
+    lattice._diagrams.cache_clear()
     assert run(["classify", "A1xA1xA1xA1"]) == 0
     assert "[66] A1xA1xA1xA1 adjoint" in capsys.readouterr().out
     assert len(calls) == 1
@@ -262,7 +263,7 @@ def test_classify_enumerates_once(monkeypatch, capsys):
 
 def test_build_entry_enumerates_once(monkeypatch):
     calls = _count_enumerations(monkeypatch)
-    monkeypatch.setattr(lattice, "_DIAGRAMS_CACHE", {})
+    lattice._diagrams.cache_clear()
     entry = build_entry(parse_cartan_type("A1xA1xA1xA1"), bound=1)
     assert len(entry.diagrams) == 67
     assert len(calls) == 1
@@ -280,6 +281,15 @@ def test_intermediate_label_needs_the_cap():
     assert label_diagram(middle) == "D4 intermediate#2"
     with pytest.raises(EnumerationCapError):
         label_diagram(middle, cap=3)
+
+
+def test_label_refuses_a_diagram_outside_the_list():
+    # the order-2 subgroup of A3's Z/4 is intermediate in size for D4, but
+    # no diagram of D4, whose weight classes form Z/2 x Z/2
+    half = diagrams(parse_cartan_type("A3"))[1].subgroup
+    stray = Diagram(parse_cartan_type("D4"), half)
+    with pytest.raises(ValueError):
+        label_diagram(stray)
 
 
 def test_classify_a1x5_output_pinned(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootatlas import grading
 from rootatlas.cli import run
 from rootatlas.grading import (
     TensorRelation,
@@ -261,6 +262,23 @@ def test_tensor_equivalent_certificate_is_valid():
             new.update(tensor_decompose(rs, nu, factor))
         constituents = new
     assert a in constituents and b in constituents
+
+
+def test_repeated_equivalence_decomposes_nothing(monkeypatch):
+    rs = _SYSTEMS["A2"]
+    grading._word_constituents.cache_clear()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tensor_decompose(*args)
+
+    monkeypatch.setattr(grading, "tensor_decompose", counted)
+    word = tensor_equivalent(rs, (3, 0), (0, 0))
+    assert word is not None and calls
+    calls.clear()
+    assert tensor_equivalent(rs, (3, 0), (0, 0)) == word
+    assert calls == []
 
 
 def test_tensor_equivalent_sound():

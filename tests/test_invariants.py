@@ -47,3 +47,26 @@ def test_library_has_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_library_memoizes_only_through_functools():
+    # a module-level empty dict is a hand-rolled cache: memoize with
+    # functools.cache, which counts hits and misses and clears in one call.
+    # _CONSTITUENTS interns highest weights and is the one such dict.
+    found = []
+    for path in sorted(Path(rootatlas.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            if isinstance(node.value, ast.Dict) and not node.value.keys:
+                found += [
+                    f"{path.name}:{node.lineno} {t.id}"
+                    for t in targets
+                    if isinstance(t, ast.Name) and t.id != "_CONSTITUENTS"
+                ]
+    assert found == []

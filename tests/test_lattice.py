@@ -465,8 +465,8 @@ def test_subgroup_generator_length_checked():
         subgroup_from_generators(FiniteAbelianGroup((2, 2)), [(1,)])
 
 
-def test_diagrams_returns_fresh_lists(monkeypatch):
-    monkeypatch.setattr(lattice, "_DIAGRAMS_CACHE", {})
+def test_diagrams_returns_fresh_lists():
+    lattice._diagrams.cache_clear()
     t = parse_cartan_type("D4")
     first = diagrams(t)
     whole = list(first)
@@ -475,8 +475,8 @@ def test_diagrams_returns_fresh_lists(monkeypatch):
     assert diagrams(t) is not diagrams(t)
 
 
-def test_diagrams_cache_keeps_the_cap(monkeypatch):
-    monkeypatch.setattr(lattice, "_DIAGRAMS_CACHE", {})
+def test_diagrams_cache_keeps_the_cap():
+    lattice._diagrams.cache_clear()
     t = parse_cartan_type("D4")
     with pytest.raises(EnumerationCapError) as cold:
         diagrams(t, cap=3)
@@ -487,4 +487,4 @@ def test_diagrams_cache_keeps_the_cap(monkeypatch):
     assert str(warm.value) == str(cold.value)
     assert str(warm.value) == "group of order 4 exceeds the enumeration cap 3"
     # and the refusal was not stored
-    assert list(lattice._DIAGRAMS_CACHE) == [(t.components, 64)]
+    assert lattice._diagrams.cache_info().currsize == 1

@@ -31,9 +31,11 @@ _SYSTEMS = {
 
 
 def _cold_caches(monkeypatch):
-    """Give repring empty module caches for the rest of the test."""
-    for name in ("_DOMINANT_TABLES", "_ORBITS", "_TENSOR_CACHE", "_CONSTITUENTS"):
-        monkeypatch.setattr(repring, name, {})
+    """Empty repring's caches, with a fresh intern table for the rest of the
+    test."""
+    for helper in (repring._dominant_table, repring._flat_orbit, repring._decomposition):
+        helper.cache_clear()
+    monkeypatch.setattr(repring, "_CONSTITUENTS", {})
 
 
 # frozen dimensions for standard small modules
@@ -225,6 +227,42 @@ def test_mutating_results_leaves_caches_intact(monkeypatch):
         assert list(call().items()) == expected
         call().clear()
         assert list(call().items()) == expected
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record the calls made through ``module.name`` for the rest of the test."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_repeated_calls_hit_the_caches(monkeypatch):
+    rs = _SYSTEMS["B3"]
+    lam, mu = (1, 0, 1), (0, 1, 0)
+    _cold_caches(monkeypatch)
+    dims = _count_calls(monkeypatch, repring, "weyl_dim")
+    multisets = _count_calls(monkeypatch, repring, "weight_multiplicities")
+    orbits = _count_calls(monkeypatch, repring, "weyl_orbit")
+    first = list(tensor_decompose(rs, lam, mu).items())
+    assert dims and multisets and orbits
+    dims.clear()
+    multisets.clear()
+    for a, b in [(lam, mu), (mu, lam), (lam, mu)]:
+        assert list(tensor_decompose(rs, a, b).items()) == first
+    assert dims == [] and multisets == []
+
+    orbits.clear()
+    weights = list(weight_multiplicities(rs, (2, 0, 0)).items())
+    assert orbits
+    orbits.clear()
+    assert list(weight_multiplicities(rs, (2, 0, 0)).items()) == weights
+    assert orbits == []
 
 
 def test_equal_rank_types_do_not_share_cache_entries(monkeypatch):
