@@ -180,6 +180,10 @@ def tensor_equivalent(
 
     Returns the certificate word, or None when the search space is
     exhausted (which does not certify inequivalence).
+
+    Every constituent of a word lies in the class of P/Q that sums its
+    letters' classes, so a pair in different classes returns None at once
+    and a word whose letters sum to another class is never decomposed.
     """
     for w in (a, b):
         _require_dominant(rs, w)
@@ -187,10 +191,18 @@ def tensor_equivalent(
         raise ValueError("depth must be >= 1 and bound >= 0")
     if a == b:
         return (a,)
+    data = weight_class_data(rs.cartan_type)
+    target = data.class_of(a)
+    if data.class_of(b) != target:
+        return None
     factors = dominant_weights_up_to(rs, bound)
+    class_of = {f: data.class_of(f) for f in factors}
+    add = data.group.add
     components = rs.cartan_type.components
     for length in range(2, depth + 1):
         for word in itertools.combinations_with_replacement(factors, length):
+            if functools.reduce(add, map(class_of.__getitem__, word)) != target:
+                continue
             constituents = _word_constituents(components, word)
             if a in constituents and b in constituents:
                 return word

@@ -25,6 +25,14 @@ CASES = {
     "classify_d4.json": "classify D4 --format json",
     # 67 diagrams whose isogeny order is not a chain: labels and cover edges
     "classify_a1x4.json": "classify A1xA1xA1xA1 --format json",
+    # a certificate word for two weights in one class of P/Q = Z/4
+    "equiv_a3_found.json": "equiv A3 2,0,1 0,1,1 --format json",
+    # classes 3 and 2 of Z/4: no word
+    "equiv_a3_classes_differ.json":
+        "equiv A3 1,0,0 0,1,0 --bound 2 --depth 3 --format json",
+    # classes 0 and 1 of Z/2
+    "equiv_b3_classes_differ.json":
+        "equiv B3 1,0,0 0,0,1 --bound 2 --depth 3 --format json",
 }
 
 

@@ -1,7 +1,10 @@
 """The universal grading group and tensor-word equivalence."""
 
 import dataclasses
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -264,8 +267,7 @@ def test_tensor_equivalent_certificate_is_valid():
     assert a in constituents and b in constituents
 
 
-def test_repeated_equivalence_decomposes_nothing(monkeypatch):
-    rs = _SYSTEMS["A2"]
+def _counted_decompositions(monkeypatch) -> list:
     grading._word_constituents.cache_clear()
     calls = []
 
@@ -274,11 +276,82 @@ def test_repeated_equivalence_decomposes_nothing(monkeypatch):
         return tensor_decompose(*args)
 
     monkeypatch.setattr(grading, "tensor_decompose", counted)
+    return calls
+
+
+def test_repeated_equivalence_decomposes_nothing(monkeypatch):
+    rs = _SYSTEMS["A2"]
+    calls = _counted_decompositions(monkeypatch)
     word = tensor_equivalent(rs, (3, 0), (0, 0))
     assert word is not None and calls
     calls.clear()
     assert tensor_equivalent(rs, (3, 0), (0, 0)) == word
     assert calls == []
+
+
+def test_different_classes_decompose_nothing(monkeypatch):
+    # classes 3 and 2 of Z/4: no word can hold both, so none is built
+    calls = _counted_decompositions(monkeypatch)
+    assert tensor_equivalent(_SYSTEMS["A3"], (1, 0, 0), (0, 1, 0)) is None
+    assert calls == []
+    assert grading._word_constituents.cache_info().currsize == 0
+
+
+def test_search_decomposes_only_words_of_the_first_class(monkeypatch):
+    rs = _SYSTEMS["A3"]
+    data = weight_class_data(rs.cartan_type)
+    cached = grading._word_constituents
+    cached.cache_clear()
+    words, nesting = [], [0]
+
+    def outermost(components, word):
+        if not nesting[0]:
+            words.append(word)
+        nesting[0] += 1
+        try:
+            return cached(components, word)
+        finally:
+            nesting[0] -= 1
+
+    monkeypatch.setattr(grading, "_word_constituents", outermost)
+    # one class of Z/4, but no product of two letters of sum <= 1 holds (3, 0, 0)
+    assert tensor_equivalent(rs, (3, 0, 0), (0, 0, 1), bound=1, depth=2) is None
+    assert words
+    for word in words:
+        total = (0,)
+        for letter in word:
+            total = data.group.add(total, data.class_of(letter))
+        assert total == data.class_of((3, 0, 0))
+
+
+# (type, bound, depth, pairs): G2 has a trivial class group, A1xA1 is
+# reducible, D4 has two invariant factors
+_PARITY_CORPUS = [
+    ("A3", 3, 4, 150),
+    ("A1xA1", 3, 4, 80),
+    ("D4", 2, 3, 80),
+    ("B3", 2, 3, 80),
+    ("C3", 2, 3, 80),
+    ("G2", 2, 4, 80),
+    ("A2", 3, 4, 120),
+]
+
+
+def test_tensor_equivalent_answers_pinned():
+    # the digest was taken before the search skipped any word by its class:
+    # a skipped word cannot hold the first weight, so no answer may move
+    rng = random.Random(8)
+    results = []
+    for name, bound, depth, count in _PARITY_CORPUS:
+        rs = build_root_system(parse_cartan_type(name))
+        pool = dominant_weights_up_to(rs, bound + 1)
+        for _ in range(count):
+            a, b = rng.choice(pool), rng.choice(pool)
+            word = tensor_equivalent(rs, a, b, bound=bound, depth=depth)
+            results.append([name, a, b, word])
+    assert hashlib.sha256(json.dumps(results).encode()).hexdigest() == (
+        "2f74790b7f97205325f188908a287856b1eac13b13faf5d349fd38ef1792d263"
+    )
 
 
 def test_tensor_equivalent_sound():
@@ -297,6 +370,17 @@ def test_tensor_equivalent_validates_input():
         tensor_equivalent(rs, (1, -1), (0, 0))
     with pytest.raises(ValueError):
         tensor_equivalent(rs, (1, 0), (0, 0), depth=0)
+    # the input checks run before the class check: these pairs lie in
+    # different classes of Z/4
+    a3 = _SYSTEMS["A3"]
+    for a, b, kwargs in [
+        ((-1, 0, 0), (0, 1, 0), {}),
+        ((1, 0), (0, 1, 0), {}),
+        ((1, 0, 0), (0, 1, 0), {"depth": 0}),
+        ((1, 0, 0), (0, 1, 0), {"bound": -1}),
+    ]:
+        with pytest.raises(ValueError):
+            tensor_equivalent(a3, a, b, **kwargs)
 
 
 def test_relations_hold_in_weight_class_group():
