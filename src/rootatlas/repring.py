@@ -20,13 +20,14 @@ CartanType would hash in Python, and builds the root system on a miss:
   weight, larger weight), so both argument orders share an entry and a hit
   computes no Weyl dimension.
 
-The highest weights in cached decompositions are shared tuples, interned
-through ``_CONSTITUENTS``.
+The highest weights in cached decompositions are shared tuples: a fourth
+cache, ``_intern``, returns the first tuple it was given for each value.
 """
 
 from __future__ import annotations
 
 import functools
+from operator import add, mul, sub
 
 from .rootsys import (
     CartanType,
@@ -34,7 +35,6 @@ from .rootsys import (
     Weight,
     _require_dominant,
     build_root_system,
-    dominant_representative,
     weyl_orbit,
 )
 
@@ -76,6 +76,7 @@ def _dominant_table(components: tuple, lam: Weight) -> dict[Weight, int]:
     rs = build_root_system(CartanType(components))
     rank = rs.rank
     norms = rs.simple_norms
+    cols = rs.reflection_cols
     positive = rs.positive_root_data
 
     # dominant weights below lam, with lam - mu expanded over simple roots
@@ -85,10 +86,10 @@ def _dominant_table(components: tuple, lam: Weight) -> dict[Weight, int]:
         w = queue.pop()
         base = diffs[w]
         for p in positive:
-            v = tuple(a - b for a, b in zip(w, p.root))
-            if v in diffs or any(c < 0 for c in v):
+            v = tuple(map(sub, w, p.root))
+            if v in diffs or min(v) < 0:
                 continue
-            diffs[v] = tuple(a + b for a, b in zip(base, p.simple_coords))
+            diffs[v] = tuple(map(add, base, p.simple_coords))
             queue.append(v)
 
     order = sorted(diffs, key=lambda w: (sum(diffs[w]), w))
@@ -102,17 +103,28 @@ def _dominant_table(components: tuple, lam: Weight) -> dict[Weight, int]:
         acc = 0
         for p in positive:
             proot = p.root
-            pnorm = p.norm
             pcoroot = p.coroot
-            k = 1
+            string = 0
+            v = mu
             while True:
-                v = tuple(a + k * b for a, b in zip(mu, proot))
-                dom = dominant_representative(rs, v)[0] if min(v) < 0 else v
-                m = table.get(dom, 0)
+                v = tuple(map(add, v, proot))
+                # the multiplicity of v is that of its dominant representative,
+                # reached by reflecting at the least coordinate while it is
+                # negative
+                c = min(v)
+                if c < 0:
+                    dom = list(v)
+                    while c < 0:
+                        for j, a in cols[dom.index(c)]:
+                            dom[j] -= c * a
+                        c = min(dom)
+                    m = table.get(tuple(dom), 0)
+                else:
+                    m = table.get(v, 0)
                 if m == 0:
                     break
-                acc += m * pnorm * sum(a * b for a, b in zip(pcoroot, v))
-                k += 1
+                string += m * sum(map(mul, pcoroot, v))
+            acc += string * p.norm
         # (lam + mu + 2 rho, lam - mu) in the same integer scaling
         den = sum(
             diff[i] * norms[i] * (two_rho_shift[i] + mu[i]) for i in range(rank)
@@ -146,9 +158,11 @@ def _flat_orbit(components: tuple, mu: Weight) -> tuple[int, ...]:
     return tuple(c for w in weyl_orbit(rs, mu) for c in w)
 
 
-# one shared tuple per highest weight, so that cached decompositions do not
-# each hold their own copy
-_CONSTITUENTS: dict[Weight, Weight] = {}
+# one shared tuple per highest weight, the first one seen, so that cached
+# decompositions do not each hold their own copy
+@functools.cache
+def _intern(w: Weight) -> Weight:
+    return w
 
 
 def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
@@ -170,42 +184,39 @@ def _decomposition(components: tuple, lam: Weight, mu: Weight) -> Decomposition:
     if (weyl_dim(rs, mu), mu) > (weyl_dim(rs, lam), lam):
         lam, mu = mu, lam
 
-    rank = rs.rank
     cols = rs.reflection_cols
     shifted = [c + 1 for c in lam]
     acc: dict[Weight, int] = {}
     for nu, mult in weight_multiplicities(rs, mu).items():
-        # inlined: unlike dominant_representative, it stops at the first wall
-        vec = [a + b for a, b in zip(shifted, nu)]
-        sign = 1
-        wall = False
-        while True:
-            neg = -1
-            for j in range(rank):
-                c = vec[j]
-                if c == 0:
-                    wall = True
-                    break
-                if c < 0:
-                    neg = j
-                    break
-            if wall or neg < 0:
-                break
-            c = vec[neg]
-            for j, a in cols[neg]:
-                vec[j] -= c * a
-            sign = -sign
-        if wall:
+        v = tuple(map(add, shifted, nu))
+        # a weight with a zero coordinate lies on a wall: a simple reflection
+        # fixes it, so it is singular and contributes nothing.  Reflections
+        # keep a weight singular or regular, so it goes at the first zero,
+        # before straightening or at the dominant end of it
+        if 0 in v:
             continue
+        c = min(v)
+        if c < 0:
+            # a regular weight has one Weyl element taking it into the
+            # dominant chamber, and each reflection at a negative coordinate
+            # shortens it by one; so reflecting at the least coordinate ends
+            # at the same weight, with the same sign, as at the first one
+            vec = list(v)
+            while c < 0:
+                for j, a in cols[vec.index(c)]:
+                    vec[j] -= c * a
+                mult = -mult
+                c = min(vec)
+            if c == 0:
+                continue
+            v = tuple(vec)
         # keyed by the rho-shifted weight; rho comes off the survivors below
-        child = tuple(vec)
-        acc[child] = acc.get(child, 0) + sign * mult
+        acc[v] = acc.get(v, 0) + mult
 
     result = {}
     for w, m in acc.items():
         if m:
-            child = tuple(c - 1 for c in w)
-            result[_CONSTITUENTS.setdefault(child, child)] = m
+            result[_intern(tuple(c - 1 for c in w))] = m
     if any(m < 0 for m in result.values()):
         raise AssertionError("cancellation must leave positives")
     return result

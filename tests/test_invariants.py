@@ -51,8 +51,7 @@ def test_library_has_no_assert_statements():
 
 def test_library_memoizes_only_through_functools():
     # a module-level empty dict is a hand-rolled cache: memoize with
-    # functools.cache, which counts hits and misses and clears in one call.
-    # _CONSTITUENTS interns highest weights and is the one such dict.
+    # functools.cache, which counts hits and misses and clears in one call
     found = []
     for path in sorted(Path(rootatlas.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -67,6 +66,6 @@ def test_library_memoizes_only_through_functools():
                 found += [
                     f"{path.name}:{node.lineno} {t.id}"
                     for t in targets
-                    if isinstance(t, ast.Name) and t.id != "_CONSTITUENTS"
+                    if isinstance(t, ast.Name)
                 ]
     assert found == []

@@ -5,7 +5,9 @@ total mass of the Freudenthal multiset, and decompositions against both
 dimension conservation and pointwise character convolution.
 """
 
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -30,12 +32,58 @@ _SYSTEMS = {
 }
 
 
-def _cold_caches(monkeypatch):
-    """Empty repring's caches, with a fresh intern table for the rest of the
-    test."""
-    for helper in (repring._dominant_table, repring._flat_orbit, repring._decomposition):
+def _cold_caches():
+    """Empty repring's caches and its intern table."""
+    for helper in (
+        repring._dominant_table,
+        repring._flat_orbit,
+        repring._decomposition,
+        repring._intern,
+    ):
         helper.cache_clear()
-    monkeypatch.setattr(repring, "_CONSTITUENTS", {})
+
+
+# the repring outputs of a seeded corpus, in item order, pinned by one
+# sha256: every pair of dominant weights of coordinate sum at most 2, with
+# a seeded sample of the pairs on F4 and E6.  The A3 pair (0,1,1), (0,2,0)
+# has nu = (-2,1,-1) in the smaller factor, whose rho-shifted vector
+# (-1,4,0) has a negative coordinate before a zero.
+PARITY_CORPUS = [
+    ("A3", None),
+    ("B3", None),
+    ("C3", None),
+    ("D4", None),
+    ("G2", None),
+    ("F4", 60),
+    ("E6", 60),
+    ("A2xB2", None),
+    ("A1xA1", None),
+]
+PARITY_SHA256 = "f7b027914008af4aea2fc84ea11fc00d3b644c57b0e45f0ed1a2f41ac64686aa"
+
+
+def test_repring_outputs_match_pinned_digest():
+    _cold_caches()
+    rng = random.Random(1)
+    digest = hashlib.sha256()
+
+    def feed(result):
+        digest.update(repr(list(result.items())).encode())
+
+    for name, sample in PARITY_CORPUS:
+        rs = build_root_system(parse_cartan_type(name))
+        weights = dominant_weights_up_to(rs, 2)
+        pairs = list(itertools.combinations_with_replacement(weights, 2))
+        if sample is not None:
+            pairs = rng.sample(pairs, sample)
+        for lam in weights:
+            feed(dominant_weight_multiplicities(rs, lam))
+            feed(weight_multiplicities(rs, lam))
+        # the first order computes the product, the second reads the cache
+        for lam, mu in pairs:
+            feed(tensor_decompose(rs, lam, mu))
+            feed(tensor_decompose(rs, mu, lam))
+    assert digest.hexdigest() == PARITY_SHA256
 
 
 # frozen dimensions for standard small modules
@@ -113,10 +161,10 @@ def test_weyl_dim_rejects_non_dominant():
         tensor_decompose(_SYSTEMS["A2"], (1, 0), (0, -1))
 
 
-def test_weyl_dim_matches_freudenthal_mass(monkeypatch):
+def test_weyl_dim_matches_freudenthal_mass():
     # two independent routes to the dimension must agree, on the first
     # call and on the second, which reads the cached orbits
-    _cold_caches(monkeypatch)
+    _cold_caches()
     cases = [
         ("A1", (4,)),
         ("A2", (2, 1)),
@@ -203,19 +251,19 @@ def test_tensor_argument_symmetry():
         ("D4", (0, 1, 0, 0), (1, 0, 1, 1)),
     ],
 )
-def test_tensor_argument_order_keeps_item_order(monkeypatch, name, lam, mu):
+def test_tensor_argument_order_keeps_item_order(name, lam, mu):
     rs = _SYSTEMS[name]
-    _cold_caches(monkeypatch)
+    _cold_caches()
     first = list(tensor_decompose(rs, lam, mu).items())
     assert list(tensor_decompose(rs, mu, lam).items()) == first
     assert list(tensor_decompose(rs, lam, mu).items()) == first
-    _cold_caches(monkeypatch)
+    _cold_caches()
     assert list(tensor_decompose(rs, mu, lam).items()) == first
 
 
-def test_mutating_results_leaves_caches_intact(monkeypatch):
+def test_mutating_results_leaves_caches_intact():
     rs = _SYSTEMS["B2"]
-    _cold_caches(monkeypatch)
+    _cold_caches()
     for call in (
         lambda: weight_multiplicities(rs, (1, 1)),
         lambda: tensor_decompose(rs, (1, 1), (0, 2)),
@@ -245,7 +293,7 @@ def _count_calls(monkeypatch, module, name):
 def test_repeated_calls_hit_the_caches(monkeypatch):
     rs = _SYSTEMS["B3"]
     lam, mu = (1, 0, 1), (0, 1, 0)
-    _cold_caches(monkeypatch)
+    _cold_caches()
     dims = _count_calls(monkeypatch, repring, "weyl_dim")
     multisets = _count_calls(monkeypatch, repring, "weight_multiplicities")
     orbits = _count_calls(monkeypatch, repring, "weyl_orbit")
@@ -265,7 +313,7 @@ def test_repeated_calls_hit_the_caches(monkeypatch):
     assert orbits == []
 
 
-def test_equal_rank_types_do_not_share_cache_entries(monkeypatch):
+def test_equal_rank_types_do_not_share_cache_entries():
     names = ["A2", "A1xA1", "B2", "C2", "G2"]
 
     def compute(rs):
@@ -276,12 +324,12 @@ def test_equal_rank_types_do_not_share_cache_entries(monkeypatch):
 
     alone = {}
     for name in names:
-        _cold_caches(monkeypatch)
+        _cold_caches()
         alone[name] = compute(_SYSTEMS[name])
     assert dict(alone["A1xA1"][0]) == {(1, 1): 1, (-1, 1): 1, (1, -1): 1, (-1, -1): 1}
     assert dict(alone["A1xA1"][1]) == {(2, 1): 1, (0, 1): 1}
     assert dict(alone["A2"][1]) == {(2, 1): 1, (0, 2): 1, (1, 0): 1}
-    _cold_caches(monkeypatch)
+    _cold_caches()
     for name in names:
         assert compute(_SYSTEMS[name]) == alone[name]
 
@@ -304,6 +352,9 @@ def _convolve(x, y):
         ("C2", (2, 0), (1, 1)),
         ("G2", (1, 0), (0, 1)),
         ("A3", (1, 0, 1), (0, 1, 0)),
+        ("A3", (0, 2, 0), (0, 1, 1)),
+        ("D4", (0, 0, 1, 1), (0, 0, 0, 2)),
+        ("F4", (0, 0, 0, 2), (0, 0, 0, 2)),
     ],
 )
 def test_tensor_matches_character_convolution(name, lam, mu):
