@@ -140,20 +140,15 @@ def cokernel(m, width: int) -> tuple[tuple[int, ...], int, Matrix, Matrix]:
     torsion coordinates (to be taken mod the factors) and free coordinates.
     An empty ``m`` means no relations; any other must have ``width`` rows.
     """
-    if not m:
-        identity = tuple(
-            tuple(int(i == j) for j in range(width)) for i in range(width)
-        )
-        return (), width, (), identity
+    m = m or [()] * width
     if len(m) != width:
         raise ValueError(f"relation matrix has {len(m)} rows, expected {width}")
     left, diag, _ = smith_normal_form(m, _right=False)
-    k = len(m[0])
     factors = []
     torsion_rows = []
     free_rows = []
-    for i in range(width):
-        d = diag[i][i] if i < min(width, k) else 0
+    for i, row in enumerate(diag):
+        d = row[i] if i < len(row) else 0
         if d == 0:
             free_rows.append(left[i])
         elif d > 1:
@@ -181,7 +176,7 @@ class WeightClassData:
 def weight_class_data(t: CartanType) -> WeightClassData:
     factors, free, torsion_rows, _ = cokernel(cartan_matrix(t), t.rank)
     if free:
-        raise AssertionError("Cartan matrix is nonsingular")
+        raise AssertionError("Cartan matrix must be nonsingular")
     return WeightClassData(FiniteAbelianGroup(factors), torsion_rows)
 
 
@@ -262,8 +257,6 @@ class Subgroup:
     def contains(self, element) -> bool:
         if len(element) != len(self.ambient.invariant_factors):
             raise ValueError("element length does not match the ambient group")
-        if not self.basis:
-            return True
         return _lattice_contains(self.basis, element)
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
@@ -296,8 +289,6 @@ def _subgroup_from_basis(group: FiniteAbelianGroup, basis: Matrix) -> Subgroup:
 def subgroup_from_generators(group: FiniteAbelianGroup, gens) -> Subgroup:
     """The subgroup generated by the given element coordinate vectors."""
     k = len(group.invariant_factors)
-    if k == 0:
-        return Subgroup(group, (), ())
     rows = []
     for g in gens:
         if len(g) != k:
@@ -337,9 +328,6 @@ def enumerate_subgroups(
             f"group of order {group.order} exceeds the enumeration cap {cap}"
         )
     k = len(group.invariant_factors)
-    if k == 0:
-        return [Subgroup(group, (), ())]
-
     column_choices = []
     for j, d in enumerate(group.invariant_factors):
         choices = []
@@ -370,8 +358,6 @@ def subgroup_invariant_factors(s: Subgroup) -> FiniteAbelianGroup:
     the invariant factors from the Smith form of that integer matrix.
     """
     k = len(s.ambient.invariant_factors)
-    if k == 0 or s.order == 1:
-        return FiniteAbelianGroup(())
     basis = s.basis
     # rows x of diag(d) * basis^{-1}, solving x * basis = d * e_j by exact
     # integer forward substitution down the upper-triangular basis

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
+from operator import mul
 
 Weight = tuple[int, ...]
 
@@ -35,9 +36,24 @@ class CartanTypeError(ValueError):
 
 @dataclass(frozen=True)
 class CartanType:
-    """An ordered product of irreducible Cartan types, e.g. B2xG2."""
+    """An ordered product of irreducible Cartan types, e.g. B2xG2.
+
+    Raises CartanTypeError when empty, or on a component of unknown family
+    or inadmissible rank.
+    """
 
     components: tuple[tuple[str, int], ...]
+
+    def __post_init__(self):
+        if not self.components:
+            raise CartanTypeError("empty Cartan type")
+        for family, n in self.components:
+            part = f"{family}{n}"
+            if family not in _ADMISSIBLE:
+                raise CartanTypeError(f"unknown family {family!r} in component {part!r}")
+            lo, hi = _ADMISSIBLE[family]
+            if type(n) is not int or n < lo or (hi is not None and n > hi):
+                raise CartanTypeError(f"inadmissible rank {n} for component {part!r}")
 
     @property
     def rank(self) -> int:
@@ -63,13 +79,7 @@ def parse_cartan_type(text: str) -> CartanType:
         m = _COMPONENT_RE.match(part)
         if not m:
             raise CartanTypeError(f"malformed component {part!r} in {text!r}")
-        family, n = m.group(1), int(m.group(2))
-        if family not in _ADMISSIBLE:
-            raise CartanTypeError(f"unknown family {family!r} in component {part!r}")
-        lo, hi = _ADMISSIBLE[family]
-        if n < lo or (hi is not None and n > hi):
-            raise CartanTypeError(f"inadmissible rank {n} for component {part!r}")
-        components.append((family, n))
+        components.append((m.group(1), int(m.group(2))))
     return CartanType(tuple(components))
 
 
@@ -185,36 +195,32 @@ def build_root_system(t: CartanType) -> RootSystem:
     norms = simple_norms(t)
     columns = tuple(tuple(m[i][j] for i in range(rank)) for j in range(rank))
 
-    def unit(i: int) -> tuple[int, ...]:
-        return tuple(1 if j == i else 0 for j in range(rank))
-
-    # track (weight coords, simple-root coords, coroot coords, norm)
-    seen: dict[Weight, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
-    queue: list[Weight] = []
-    for j in range(rank):
-        seen[columns[j]] = (unit(j), unit(j), norms[j])
-        queue.append(columns[j])
+    # track each root's coordinates over the simple roots; its norm and
+    # coroot follow from them, so only the positive roots compute those
+    seen: dict[Weight, tuple[int, ...]] = {
+        columns[j]: tuple(int(i == j) for i in range(rank)) for j in range(rank)
+    }
+    queue = list(columns)
     while queue:
         root = queue.pop()
-        simple, coroot, norm = seen[root]
+        simple = seen[root]
         for i in range(rank):
             c = root[i]
             new_root = tuple(root[j] - c * m[j][i] for j in range(rank))
-            if new_root in seen:
-                continue
-            new_simple = tuple(
-                simple[j] - c if j == i else simple[j] for j in range(rank)
-            )
-            pair = sum(m[j][i] * coroot[j] for j in range(rank))
-            new_coroot = tuple(
-                coroot[j] - pair if j == i else coroot[j] for j in range(rank)
-            )
-            seen[new_root] = (new_simple, new_coroot, norm)
-            queue.append(new_root)
+            if new_root not in seen:
+                seen[new_root] = tuple(
+                    s - c if j == i else s for j, s in enumerate(simple)
+                )
+                queue.append(new_root)
 
     positive = []
-    for root, (simple, coroot, norm) in seen.items():
-        if all(c >= 0 for c in simple):
+    for root, simple in seen.items():
+        if min(simple) >= 0:
+            # (alpha, alpha)/2 = sum_j s_j (alpha_j, alpha)/2 with
+            # (alpha_j, alpha) = norm_j * root_j, and alpha^vee = alpha/norm
+            # expands over the simple coroots as s_j * norm_j / norm
+            norm = sum(map(mul, simple, map(mul, norms, root))) // 2
+            coroot = tuple(s * n // norm for s, n in zip(simple, norms))
             positive.append(PositiveRootData(root, simple, coroot, norm))
     positive.sort(key=lambda p: (sum(p.simple_coords), p.simple_coords))
 
@@ -278,30 +284,34 @@ def dominant_representative(rs: RootSystem, w: Weight) -> tuple[Weight, int, boo
     """Straighten ``w`` into the dominant chamber.
 
     Returns (dominant weight, sign, singular).  The sign is (-1)**k for the
-    k reflections applied; when the orbit touches a wall (some coordinate
-    hits zero) ``singular`` is set and the sign carries no meaning.
+    k reflections applied, k being the number of positive roots whose
+    coroot pairs negatively with ``w``; ``singular`` is set when a
+    reflection fixes ``w``, that is when the dominant weight has a zero
+    coordinate.
     """
     _check_weight(rs, w)
-    cols = rs.reflection_cols
-    rank = rs.rank
+    dom, sign = _straighten(rs.reflection_cols, w)
+    return dom, sign, 0 in dom
+
+
+def _straighten(cols, w: Weight) -> tuple[Weight, int]:
+    """The dominant weight in the Weyl orbit of ``w``, with the sign (-1)**k
+    of the k simple reflections that reach it; ``cols`` is a root system's
+    ``reflection_cols``.
+
+    A reflection at a negative coordinate removes exactly one root from
+    N(w) = {alpha > 0 : <w, alpha^vee> < 0}, and N is empty only at a
+    dominant weight, so k = |N(w)| whichever negative coordinate is taken,
+    singular ``w`` included: the end and the sign do not depend on the
+    choice.  Taking the least coordinate lets min and index run in C.
+    """
     v = list(w)
     sign = 1
-    singular = False
-    while True:
-        neg = -1
-        for j in range(rank):
-            c = v[j]
-            if c == 0:
-                singular = True
-            elif c < 0:
-                neg = j
-                break
-        if neg < 0:
-            return tuple(v), sign, singular
-        c = v[neg]
-        for j, a in cols[neg]:
+    while (c := min(v)) < 0:
+        for j, a in cols[v.index(c)]:
             v[j] -= c * a
         sign = -sign
+    return tuple(v), sign
 
 
 def _check_weight(rs: RootSystem, w: Weight) -> None:

@@ -69,3 +69,25 @@ def test_library_memoizes_only_through_functools():
                     if isinstance(t, ast.Name)
                 ]
     assert found == []
+
+
+def test_library_imports_only_the_standard_library():
+    # rootatlas is stdlib-only: a module may import the standard library
+    # and, relatively or by name, the package itself
+    allowed = sys.stdlib_module_names | {"rootatlas"}
+    found = []
+    for path in sorted(Path(rootatlas.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in allowed
+            ]
+    assert found == []
