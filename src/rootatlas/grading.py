@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 from .lattice import FiniteAbelianGroup, cokernel, weight_class_data
 from .repring import dominant_weights_up_to, tensor_decompose
-from .rootsys import CartanType, RootSystem, Weight, build_root_system
-from .rootsys import _check_weight, _require_dominant
+from .rootsys import RootSystem, Weight, _check_weight, _require_dominant
 
 
 @dataclass(frozen=True)
@@ -154,15 +153,13 @@ def matches_fundamental_group(pres: GradingPresentation, rs: RootSystem) -> bool
     return len(image) == group.order and len(set(image.values())) == group.order
 
 
-# keyed by the components tuple, since a CartanType hashes in Python
 @functools.cache
-def _word_constituents(components: tuple, word: tuple) -> frozenset[Weight]:
+def _word_constituents(rs: RootSystem, word: tuple) -> frozenset[Weight]:
     if len(word) == 1:
         return frozenset(word)
-    rs = build_root_system(CartanType(components))
     last = word[-1]
     out = set()
-    for nu in _word_constituents(components, word[:-1]):
+    for nu in _word_constituents(rs, word[:-1]):
         out.update(tensor_decompose(rs, nu, last))
     return frozenset(out)
 
@@ -198,12 +195,11 @@ def tensor_equivalent(
     factors = dominant_weights_up_to(rs, bound)
     class_of = {f: data.class_of(f) for f in factors}
     add = data.group.add
-    components = rs.cartan_type.components
     for length in range(2, depth + 1):
         for word in itertools.combinations_with_replacement(factors, length):
             if functools.reduce(add, map(class_of.__getitem__, word)) != target:
                 continue
-            constituents = _word_constituents(components, word)
+            constituents = _word_constituents(rs, word)
             if a in constituents and b in constituents:
                 return word
     return None

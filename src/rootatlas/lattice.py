@@ -222,17 +222,31 @@ def hermite_basis(rows, k: int) -> Matrix:
     return tuple(tuple(r) for r in basis)
 
 
-def _lattice_contains(basis: Matrix, vec) -> bool:
-    """Membership of an integer vector in the lattice given by an
-    upper-triangular basis."""
+def _lattice_coordinates(basis: Matrix, vec) -> list[int] | None:
+    """The integer x with x * basis == vec, solved by forward substitution
+    down an upper-triangular basis, or None when ``vec`` is not in its
+    lattice."""
     v = list(vec)
-    for j in range(len(basis)):
-        if v[j] % basis[j][j]:
-            return False
-        q = v[j] // basis[j][j]
+    x = []
+    for j, row in enumerate(basis):
+        p = row[j]
+        if v[j] % p:
+            return None
+        q = v[j] // p
         if q:
-            v = [x - q * y for x, y in zip(v, basis[j])]
-    return not any(v)
+            v = [a - q * b for a, b in zip(v, row)]
+        x.append(q)
+    return x
+
+
+def _relation_rows(group: FiniteAbelianGroup) -> list[tuple[int, ...]]:
+    """The rows of diag(invariant factors), which span the lattice of
+    vectors that reduce to zero in ``group``."""
+    factors = group.invariant_factors
+    return [
+        tuple(d if i == j else 0 for i in range(len(factors)))
+        for j, d in enumerate(factors)
+    ]
 
 
 @dataclass(frozen=True)
@@ -257,7 +271,7 @@ class Subgroup:
     def contains(self, element) -> bool:
         if len(element) != len(self.ambient.invariant_factors):
             raise ValueError("element length does not match the ambient group")
-        return _lattice_contains(self.basis, element)
+        return _lattice_coordinates(self.basis, element) is not None
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
         if self.ambient != other.ambient:
@@ -289,13 +303,10 @@ def _subgroup_from_basis(group: FiniteAbelianGroup, basis: Matrix) -> Subgroup:
 def subgroup_from_generators(group: FiniteAbelianGroup, gens) -> Subgroup:
     """The subgroup generated by the given element coordinate vectors."""
     k = len(group.invariant_factors)
-    rows = []
-    for g in gens:
+    rows = [*gens, *_relation_rows(group)]
+    for g in rows:
         if len(g) != k:
             raise ValueError(f"generator {g} has length {len(g)}, expected {k}")
-        rows.append(list(g))
-    for j, d in enumerate(group.invariant_factors):
-        rows.append([d if i == j else 0 for i in range(k)])
     return _subgroup_from_basis(group, hermite_basis(rows, k))
 
 
@@ -337,15 +348,12 @@ def enumerate_subgroups(
         column_choices.append(choices)
 
     found = []
-    relations = [
-        tuple(d if i == j else 0 for i in range(k))
-        for j, d in enumerate(group.invariant_factors)
-    ]
+    relations = _relation_rows(group)
     for cols in itertools.product(*column_choices):
         basis = tuple(
             tuple(cols[j][i] if i <= j else 0 for j in range(k)) for i in range(k)
         )
-        if all(_lattice_contains(basis, rel) for rel in relations):
+        if all(_lattice_coordinates(basis, rel) is not None for rel in relations):
             found.append(_subgroup_from_basis(group, basis))
     found.sort(key=lambda s: (s.order, s.basis))
     return found
@@ -358,19 +366,10 @@ def subgroup_invariant_factors(s: Subgroup) -> FiniteAbelianGroup:
     the invariant factors from the Smith form of that integer matrix.
     """
     k = len(s.ambient.invariant_factors)
-    basis = s.basis
-    # rows x of diag(d) * basis^{-1}, solving x * basis = d * e_j by exact
-    # integer forward substitution down the upper-triangular basis
-    rows = []
-    for j, d in enumerate(s.ambient.invariant_factors):
-        row = []
-        for i in range(k):
-            acc = (d if i == j else 0) - sum(row[l] * basis[l][i] for l in range(i))
-            q, r = divmod(acc, basis[i][i])
-            if r:
-                raise AssertionError("relations do not lie in the subgroup lattice")
-            row.append(q)
-        rows.append(row)
+    # the rows of diag(d) * basis^{-1}: each relation in the basis's coordinates
+    rows = [_lattice_coordinates(s.basis, rel) for rel in _relation_rows(s.ambient)]
+    if None in rows:
+        raise AssertionError("relations do not lie in the subgroup lattice")
     _, diag, _ = smith_normal_form(rows, _right=False)
     factors = tuple(diag[i][i] for i in range(k) if diag[i][i] > 1)
     return FiniteAbelianGroup(factors)

@@ -10,15 +10,13 @@ against the convolution of weight multisets.  All values are exact
 integers.
 
 Three ``functools.cache`` helpers keep work that repeats across calls,
-and every call returns a fresh dict, so a caller may change what it gets.
-Each is keyed by ``rs.cartan_type.components``, a plain tuple where a
-CartanType would hash in Python, and builds the root system on a miss:
+and every call returns a fresh dict, so a caller may change what it gets:
 
-- ``_dominant_table``: dominant multiplicities, keyed by (type components,
+- ``_dominant_table``: dominant multiplicities, keyed by (root system,
   highest weight);
-- ``_flat_orbit``: the Weyl orbit of each dominant weight, keyed by (type
-  components, dominant weight), as one flat tuple of coordinates;
-- ``_decomposition``: decompositions, keyed by (type components, smaller
+- ``_flat_orbit``: the Weyl orbit of each dominant weight, keyed by (root
+  system, dominant weight), as one flat tuple of coordinates;
+- ``_decomposition``: decompositions, keyed by (root system, smaller
   weight, larger weight), so both argument orders share an entry and a hit
   computes no Weyl dimension.
 
@@ -31,15 +29,7 @@ from __future__ import annotations
 import functools
 from operator import add, mul, sub
 
-from .rootsys import (
-    CartanType,
-    RootSystem,
-    Weight,
-    _require_dominant,
-    _straighten,
-    build_root_system,
-    weyl_orbit,
-)
+from .rootsys import RootSystem, Weight, _require_dominant, _straighten, weyl_orbit
 
 WeightMultiset = dict[Weight, int]
 Decomposition = dict[Weight, int]
@@ -71,12 +61,11 @@ def dominant_weight_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, 
     from the already-known weights strictly above it along root strings.
     """
     _require_dominant(rs, lam)
-    return dict(_dominant_table(rs.cartan_type.components, lam))
+    return dict(_dominant_table(rs, lam))
 
 
 @functools.cache
-def _dominant_table(components: tuple, lam: Weight) -> dict[Weight, int]:
-    rs = build_root_system(CartanType(components))
+def _dominant_table(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     rank = rs.rank
     norms = rs.simple_norms
     cols = rs.reflection_cols
@@ -132,11 +121,10 @@ def weight_multiplicities(rs: RootSystem, lam: Weight) -> WeightMultiset:
     """The full weight multiset of V(lam): Weyl-invariant, total mass the
     Weyl dimension."""
     table = dominant_weight_multiplicities(rs, lam)
-    components = rs.cartan_type.components
     rank = rs.rank
     out: WeightMultiset = {}
     for mu, m in table.items():
-        for w in zip(*[iter(_flat_orbit(components, mu))] * rank):
+        for w in zip(*[iter(_flat_orbit(rs, mu))] * rank):
             out[w] = m
     return out
 
@@ -145,8 +133,7 @@ def weight_multiplicities(rs: RootSystem, lam: Weight) -> WeightMultiset:
 # times the memory; it keeps the orbit frozenset's iteration order, which
 # fixes the item order of weight multisets
 @functools.cache
-def _flat_orbit(components: tuple, mu: Weight) -> tuple[int, ...]:
-    rs = build_root_system(CartanType(components))
+def _flat_orbit(rs: RootSystem, mu: Weight) -> tuple[int, ...]:
     return tuple(c for w in weyl_orbit(rs, mu) for c in w)
 
 
@@ -167,12 +154,11 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
     """
     _require_dominant(rs, lam)
     _require_dominant(rs, mu)
-    return dict(_decomposition(rs.cartan_type.components, min(lam, mu), max(lam, mu)))
+    return dict(_decomposition(rs, min(lam, mu), max(lam, mu)))
 
 
 @functools.cache
-def _decomposition(components: tuple, lam: Weight, mu: Weight) -> Decomposition:
-    rs = build_root_system(CartanType(components))
+def _decomposition(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
     if (weyl_dim(rs, mu), mu) > (weyl_dim(rs, lam), lam):
         lam, mu = mu, lam
 

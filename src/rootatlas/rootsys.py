@@ -3,15 +3,16 @@
 Weights are integer coordinate tuples against the fundamental weights, so
 the simple roots are the columns of the Cartan matrix stored here (entry
 ``[i][j]`` is the pairing of the j-th simple root with the i-th simple
-coroot).  Node numbering follows Bourbaki.  Everything is exact: plain
-Python integers, no floating point anywhere.
+coroot).  The matrix follows from the Dynkin diagram's bonds and the
+simple roots' norms.  Node numbering follows Bourbaki.  Everything is
+exact: plain Python integers, no floating point anywhere.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
 
 Weight = tuple[int, ...]
@@ -83,44 +84,18 @@ def parse_cartan_type(text: str) -> CartanType:
     return CartanType(tuple(components))
 
 
-def _irreducible_cartan_columns(family: str, n: int) -> list[list[int]]:
-    """Cartan matrix of one irreducible type, columns = simple roots."""
-    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def join(i: int, j: int) -> None:
-        m[i][j] = -1
-        m[j][i] = -1
-
-    if family in ("A", "B", "C"):
-        for i in range(n - 1):
-            join(i, i + 1)
-        if family == "B" and n >= 2:
-            # alpha_n short: its column pairs -2 against the last coroot
-            m[n - 1][n - 2] = -2
-        if family == "C" and n >= 2:
-            # alpha_n long: the (n-1)-st column pairs -2 against coroot n
-            m[n - 2][n - 1] = -2
-    elif family == "D":
-        for i in range(n - 2):
-            join(i, i + 1)
-        join(n - 3, n - 1)
-    elif family == "E":
-        join(0, 2)
-        join(1, 3)
-        for i in range(2, n - 1):
-            join(i, i + 1)
-    elif family == "F":
-        for i in range(3):
-            join(i, i + 1)
-        m[2][1] = -2
-    elif family == "G":
-        m[0][1] = -3
-        m[1][0] = -1
-    return m
+def _irreducible_bonds(family: str, n: int) -> list[tuple[int, int]]:
+    """Edges of the Dynkin diagram of one irreducible type, 0-based."""
+    if family == "D":
+        return [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
+    if family == "E":
+        return [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]
+    return [(i, i + 1) for i in range(n - 1)]
 
 
 def _irreducible_norms(family: str, n: int) -> list[int]:
-    """Half square lengths of the simple roots, scaled to coprime integers."""
+    """Half square lengths of the simple roots, scaled to coprime integers:
+    the one place that says which simple roots are long."""
     if family == "B":
         return [2] * (n - 1) + [1]
     if family == "C":
@@ -133,15 +108,22 @@ def _irreducible_norms(family: str, n: int) -> list[int]:
 
 
 def cartan_matrix(t: CartanType) -> tuple[tuple[int, ...], ...]:
-    """Block-diagonal Cartan matrix of ``t`` with columns as simple roots."""
-    rank = t.rank
-    m = [[0] * rank for _ in range(rank)]
+    """Block-diagonal Cartan matrix of ``t`` with columns as simple roots.
+
+    Entry ``[i][j]`` is 2(alpha_j, alpha_i)/(alpha_i, alpha_i).  With
+    (alpha_i, alpha_i) = 2 norm_i, distinct simple roots joined by a bond
+    have (alpha_i, alpha_j) = -max(norm_i, norm_j), and the others 0.
+    """
+    norms = simple_norms(t)
+    rank = len(norms)
+    m = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
     offset = 0
     for family, n in t.components:
-        block = _irreducible_cartan_columns(family, n)
-        for i in range(n):
-            for j in range(n):
-                m[offset + i][offset + j] = block[i][j]
+        for a, b in _irreducible_bonds(family, n):
+            i, j = offset + a, offset + b
+            inner = max(norms[i], norms[j])
+            m[i][j] = -inner // norms[i]
+            m[j][i] = -inner // norms[j]
         offset += n
     return tuple(tuple(row) for row in m)
 
@@ -181,7 +163,13 @@ class RootSystem:
     positive_root_data: tuple[PositiveRootData, ...]
     # sparse reflection table: reflection_cols[i] lists the nonzero
     # (row, entry) pairs of column i of the Cartan matrix
-    reflection_cols: tuple[tuple[tuple[int, int], ...], ...] = field(hash=False)
+    reflection_cols: tuple[tuple[tuple[int, int], ...], ...]
+
+    # equal root systems have equal types, so this agrees with the
+    # field-by-field __eq__, and the tuple hashes in C: the caches of
+    # repring and grading are keyed by root systems
+    def __hash__(self) -> int:
+        return hash(self.cartan_type.components)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.cartan_type})"

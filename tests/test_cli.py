@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -290,3 +291,26 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"
+
+
+def _readme_commands():
+    """The ``rootatlas ...`` lines of README's command-line block, each as
+    arguments and comment, named by the arguments."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        args = command.split()[1:]
+        lines.append(pytest.param(args, comment.strip(), id=" ".join(args)))
+    return lines
+
+
+@pytest.mark.parametrize("args,comment", _readme_commands())
+def test_readme_command_line_examples(capsys, args, comment):
+    assert run(args) == 0
+    out = capsys.readouterr().out
+    # the comment of a dim or tensor line is its exact output
+    if args[0] in ("dim", "tensor"):
+        assert out == comment + "\n"

@@ -33,6 +33,15 @@ CASES = {
     # classes 0 and 1 of Z/2
     "equiv_b3_classes_differ.json":
         "equiv B3 1,0,0 0,0,1 --bound 2 --depth 3 --format json",
+    # equiv's text output: a word found, and classes 3 and 2 of Z/4
+    "equiv_a1_text.txt": "equiv A1 0 2",
+    "equiv_a3_classes_differ.txt": "equiv A3 1,0,0 0,1,0",
+    # the JSON branch of weights
+    "weights_e6_1.json": "weights E6 1,0,0,0,0,0 --format json",
+    # atlas text with all three kinds of row: a matching grading, an entry
+    # refused by the enumeration cap and a grading skipped by the dimension cap
+    "atlas_r4_b1_caps.txt":
+        "atlas --max-rank 4 --bound 1 --enumeration-cap 3 --grading-dim-cap 5",
 }
 
 

@@ -340,6 +340,47 @@ def test_subgroup_membership():
     assert not trivial_subgroup(group).contains((2,))
 
 
+def _closure(group, gens):
+    """The elements generated by ``gens``, reduced and added breadth first."""
+    factors = group.invariant_factors
+    steps = [tuple(x % d for x, d in zip(g, factors)) for g in gens]
+    zero = (0,) * len(factors)
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in steps:
+                y = tuple((a + b) % d for a, b, d in zip(x, g, factors))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(seen)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(4,), (6,), (12,), (2, 4), (2, 6), (3, 9), (2, 2, 4), (4, 8), (6, 12)],
+)
+def test_subgroup_from_random_generators(factors):
+    # coordinates run from -2d to 2d, so generators are negative or out of
+    # range as often as not, and the Hermite reduction combines and flips
+    group = FiniteAbelianGroup(factors)
+    listed = {s.basis: s for s in enumerate_subgroups(group, cap=group.order)}
+    rng = random.Random(f"hermite {factors}")
+    for _ in range(300):
+        gens = [
+            tuple(rng.randint(-2 * d, 2 * d) for d in factors)
+            for _ in range(rng.randint(0, 3))
+        ]
+        s = subgroup_from_generators(group, gens)
+        closure = _closure(group, gens)
+        assert s.elements() == closure
+        assert {x for x in group.elements() if s.contains(x)} == closure
+        assert listed[s.basis] == s
+
+
 def test_diagram_counts():
     assert len(diagrams(parse_cartan_type("A1"))) == 2
     assert len(diagrams(parse_cartan_type("A3"))) == 3

@@ -313,6 +313,29 @@ def test_repeated_calls_hit_the_caches(monkeypatch):
     assert orbits == []
 
 
+def test_cold_tensor_decompose_does_not_rebuild_the_root_system():
+    rs = _SYSTEMS["B3"]
+    _cold_caches()
+    before = build_root_system.cache_info()
+    tensor_decompose(rs, (1, 0, 1), (0, 1, 0))
+    after = build_root_system.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_rebuilt_root_system_hits_the_same_entries():
+    # the caches are keyed by root systems: a system built afresh, outside
+    # build_root_system's cache, is equal, hashes the same and finds them
+    rs = _SYSTEMS["B3"]
+    _cold_caches()
+    first = list(tensor_decompose(rs, (1, 0, 1), (0, 1, 0)).items())
+    rebuilt = build_root_system.__wrapped__(rs.cartan_type)
+    assert rebuilt is not rs and rebuilt == rs and hash(rebuilt) == hash(rs)
+    before = repring._decomposition.cache_info()
+    assert list(tensor_decompose(rebuilt, (1, 0, 1), (0, 1, 0)).items()) == first
+    after = repring._decomposition.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+
 def test_equal_rank_types_do_not_share_cache_entries():
     names = ["A2", "A1xA1", "B2", "C2", "G2"]
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootatlas.classify import admissible_irreducible_types
 from rootatlas.rootsys import (
     CartanType,
     CartanTypeError,
@@ -203,6 +204,21 @@ def test_root_data_match_pinned_digest():
             rs.reflection_cols,
         )).encode())
     assert digest.hexdigest() == ROOT_DATA_SHA256
+
+
+# the Cartan matrix and simple norms of every admissible irreducible type up
+# to rank 12 and of three products, pinned by one sha256
+CARTAN_TYPES = admissible_irreducible_types(12) + [
+    parse_cartan_type(name) for name in ["A1xB2xG2", "F4xC3", "E6xD5xA2"]
+]
+CARTAN_SHA256 = "6f667adc4e696d889820ee4345bcd1773db7b8dbc5d5e5798bb2cd98666c75df"
+
+
+def test_cartan_data_match_pinned_digest():
+    digest = hashlib.sha256()
+    for t in CARTAN_TYPES:
+        digest.update(repr((str(t), cartan_matrix(t), simple_norms(t))).encode())
+    assert digest.hexdigest() == CARTAN_SHA256
 
 
 def test_rho_is_half_sum_of_positive_roots():
