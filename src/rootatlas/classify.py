@@ -28,7 +28,6 @@ from .lattice import (
     diagrams,
     fundamental_group,
     irreducible_components,
-    isogeny_order,
 )
 from .repring import dominant_weights_up_to, weyl_dim
 from .rootsys import CartanType, CartanTypeError, build_root_system, parse_cartan_type
@@ -93,15 +92,18 @@ def label_diagram(d: Diagram, cap: int = DEFAULT_ENUMERATION_CAP) -> str:
 
 
 def hasse_edges(ds: list[Diagram]) -> tuple[tuple[int, int], ...]:
-    """Cover relations of the isogeny order, from larger lattice to smaller."""
+    """Cover relations of the isogeny order, from larger lattice to smaller, at the
+    cost of n * |pool| membership tests of the pooled generators and n^2 set tests."""
+    if len({d.cartan_type for d in ds}) > 1:
+        raise ValueError("diagrams of different Cartan types are incomparable")
+    gens = [d.subgroup.generators for d in ds]
+    pool = set().union(*gens)
+    held = [{g for g in pool if d.subgroup.contains(g)} for d in ds]
     idx = range(len(ds))
-    above = [[i != j and isogeny_order(ds[i], ds[j]) for j in idx] for i in idx]
-    # generated in (i, j) order, which is already sorted
+    below = [{j for j in idx if j != i and held[i].issuperset(gens[j])} for i in idx]
+    above = [{i for i in idx if j in below[i]} for j in idx]
     return tuple(
-        (i, j)
-        for i in idx
-        for j in idx
-        if above[i][j] and not any(above[i][k] and above[k][j] for k in idx)
+        (i, j) for i in idx for j in sorted(below[i]) if below[i].isdisjoint(above[j])
     )
 
 

@@ -383,6 +383,14 @@ class Diagram:
     cartan_type: CartanType
     subgroup: Subgroup
 
+    def __post_init__(self):
+        group = fundamental_group(self.cartan_type)
+        if self.subgroup.ambient != group:
+            raise ValueError(
+                f"subgroup of {self.subgroup.ambient} given for {self.cartan_type},"
+                f" whose weight classes form {group}"
+            )
+
 
 def diagrams(t: CartanType, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Diagram]:
     """All diagrams for ``t``, largest subgroup (simply connected) first,

@@ -28,7 +28,8 @@ _ADMISSIBLE = {
     "G": (2, 2),
 }
 
-_COMPONENT_RE = re.compile(r"^([A-Z])([0-9]+)$")
+_COMPONENT_RE = re.compile(r"([A-Z])([0-9]+)")
+_COORDINATE_RE = re.compile(r"[+-]?[0-9]+")
 
 
 class CartanTypeError(ValueError):
@@ -77,7 +78,7 @@ def parse_cartan_type(text: str) -> CartanType:
         raise CartanTypeError("empty Cartan type")
     components = []
     for part in text.split("x"):
-        m = _COMPONENT_RE.match(part)
+        m = _COMPONENT_RE.fullmatch(part)
         if not m:
             raise CartanTypeError(f"malformed component {part!r} in {text!r}")
         components.append((m.group(1), int(m.group(2))))
@@ -319,11 +320,10 @@ def is_dominant(w: Weight) -> bool:
 
 def parse_weight(text: str, rank: int) -> Weight:
     """Parse ``"1,0,2"`` (a bare integer is accepted at rank 1)."""
-    parts = text.split(",")
-    try:
-        coords = tuple(int(p.strip()) for p in parts)
-    except ValueError:
-        raise ValueError(f"malformed weight {text!r}") from None
+    parts = [p.strip() for p in text.split(",")]
+    if not all(map(_COORDINATE_RE.fullmatch, parts)):
+        raise ValueError(f"malformed weight {text!r}")
+    coords = tuple(map(int, parts))
     if len(coords) != rank:
         raise ValueError(f"weight {text!r} has {len(coords)} coordinates, expected {rank}")
     return coords

@@ -20,9 +20,13 @@ from rootatlas.cli import run
 from rootatlas.lattice import (
     Diagram,
     EnumerationCapError,
+    FiniteAbelianGroup,
+    Subgroup,
     adjoint_diagram,
     diagrams,
+    full_subgroup,
     fundamental_group,
+    isogeny_order,
     simply_connected_diagram,
 )
 from rootatlas.rootsys import parse_cartan_type
@@ -211,7 +215,7 @@ def _oracle_covers(ds):
     )
 
 
-_ORACLE_TYPES = ["A3", "D4", "A1xA3", "A1xA1xA1"]
+_ORACLE_TYPES = ["A3", "D4", "A1xA3", "A1xA1xA1", "A2xA2", "A1xA2xA3"]
 
 
 @pytest.mark.parametrize("name", _ORACLE_TYPES)
@@ -230,6 +234,32 @@ def test_hasse_edges_match_inclusion_oracle(name):
 )
 def test_hasse_edges_on_sublists_with_repeats(ds):
     assert hasse_edges(ds) == _oracle_covers(ds)
+
+
+def _is_prime(n):
+    return n > 1 and all(n % p for p in range(2, int(n**0.5) + 1))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A3", "D4", "A1xA3", "A1xA1xA1", "A1xA1xA1xA1", "A1xA1xA1xA1xA1",
+     "A2xA2xA2", "A1xA2xA3", "D4xA3"],
+)
+def test_hasse_edges_are_the_inclusions_of_prime_index(name):
+    # in an abelian group H < K is a cover exactly when K/H has no proper
+    # nontrivial subgroup, that is when [K:H] is prime; on a full list every
+    # subgroup is present, so the covers are the inclusions of prime index
+    ds = diagrams(parse_cartan_type(name))
+    orders = [d.subgroup.order for d in ds]
+    n = len(ds)
+    assert hasse_edges(ds) == tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if orders[i] % orders[j] == 0
+        and _is_prime(orders[i] // orders[j])
+        and isogeny_order(ds[i], ds[j])
+    )
 
 
 def test_hasse_edges_refuses_mixed_types():
@@ -285,11 +315,25 @@ def test_intermediate_label_needs_the_cap():
 
 def test_label_refuses_a_diagram_outside_the_list():
     # the order-2 subgroup of A3's Z/4 is intermediate in size for D4, but
-    # no diagram of D4, whose weight classes form Z/2 x Z/2
+    # no diagram of D4, whose weight classes form Z/2 x Z/2: it cannot even
+    # be built
+    d4 = parse_cartan_type("D4")
     half = diagrams(parse_cartan_type("A3"))[1].subgroup
-    stray = Diagram(parse_cartan_type("D4"), half)
     with pytest.raises(ValueError):
-        label_diagram(stray)
+        Diagram(d4, half)
+    # the right ambient group, but a basis not in Hermite form (3 is not
+    # reduced below the pivot 2), so it equals no enumerated subgroup
+    skew = Subgroup(fundamental_group(d4), ((1, 1),), ((1, 3), (0, 2)))
+    assert skew.order == 2
+    with pytest.raises(ValueError, match="not among the diagrams"):
+        label_diagram(Diagram(d4, skew))
+
+
+def test_diagram_refuses_a_subgroup_of_another_group():
+    a3 = parse_cartan_type("A3")
+    z2 = FiniteAbelianGroup((2,))
+    with pytest.raises(ValueError, match=r"\(2,\).*\(4,\)"):
+        Diagram(a3, full_subgroup(z2))
 
 
 def test_classify_a1x5_output_pinned(capsys):

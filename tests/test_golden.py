@@ -25,6 +25,9 @@ CASES = {
     "classify_d4.json": "classify D4 --format json",
     # 67 diagrams whose isogeny order is not a chain: labels and cover edges
     "classify_a1x4.json": "classify A1xA1xA1xA1 --format json",
+    # classify's text form: edges printed by label, among them covers of
+    # index 2 from the order-8 top to the cyclic Z/4 diagrams, and the note
+    "classify_a1xa3.txt": "classify A1xA3",
     # a certificate word for two weights in one class of P/Q = Z/4
     "equiv_a3_found.json": "equiv A3 2,0,1 0,1,1 --format json",
     # classes 3 and 2 of Z/4: no word

@@ -43,7 +43,8 @@ def test_parse_product():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "D3", "H4", "A0", "E9", "E5", "F3", "G3", "B1", "C1", "b2", "A1x", "xA1", "A1xx A2", "A1 A2", "A-1"],
+    ["", "D3", "H4", "A0", "E9", "E5", "F3", "G3", "B1", "C1", "b2", "A1x", "xA1", "A1xx A2", "A1 A2", "A-1",
+     "A1\n", "A1\nxB2"],
 )
 def test_parse_rejects(bad):
     with pytest.raises(CartanTypeError):
@@ -365,11 +366,19 @@ def test_weight_parse_format():
     assert parse_weight("1,0,2", 3) == (1, 0, 2)
     assert parse_weight("2", 1) == (2,)
     assert parse_weight("-1, 3", 2) == (-1, 3)
+    assert parse_weight(" +1 ,\t-0, 07 ", 3) == (1, 0, 7)
     assert format_weight((1, 0, 2)) == "1,0,2"
     with pytest.raises(ValueError):
         parse_weight("1,0", 3)
     with pytest.raises(ValueError):
         parse_weight("1,a", 2)
+
+
+@pytest.mark.parametrize("bad", ["1_0,2", "\u0663", "1,\u0661", "--1,0", "+-1"])
+def test_weight_parse_accepts_only_ascii_integers(bad):
+    # int() alone would read "1_0" as 10 and the Arabic-Indic digit as 3
+    with pytest.raises(ValueError, match="malformed weight"):
+        parse_weight(bad, len(bad.split(",")))
 
 
 def test_cartan_type_hashable_and_ordered_components():
