@@ -93,15 +93,33 @@ def label_diagram(d: Diagram, cap: int = DEFAULT_ENUMERATION_CAP) -> str:
 
 def hasse_edges(ds: list[Diagram]) -> tuple[tuple[int, int], ...]:
     """Cover relations of the isogeny order, from larger lattice to smaller, at the
-    cost of n * |pool| membership tests of the pooled generators and n^2 set tests."""
+    cost of n * |pool| membership tests of the pooled generators and a set test
+    for each pair whose subgroup orders divide."""
     if len({d.cartan_type for d in ds}) > 1:
         raise ValueError("diagrams of different Cartan types are incomparable")
     gens = [d.subgroup.generators for d in ds]
     pool = set().union(*gens)
     held = [{g for g in pool if d.subgroup.contains(g)} for d in ds]
+    # by Lagrange, ds[j] lies below ds[i] only when its order divides that of ds[i]
+    orders = [d.subgroup.order for d in ds]
+    by_order: dict[int, list[int]] = {}
+    for j, order in enumerate(orders):
+        by_order.setdefault(order, []).append(j)
     idx = range(len(ds))
-    below = [{j for j in idx if j != i and held[i].issuperset(gens[j])} for i in idx]
-    above = [{i for i in idx if j in below[i]} for j in idx]
+    below = [
+        {
+            j
+            for order, js in by_order.items()
+            if orders[i] % order == 0
+            for j in js
+            if j != i and held[i].issuperset(gens[j])
+        }
+        for i in idx
+    ]
+    above: list[set[int]] = [set() for _ in idx]
+    for i in idx:
+        for j in below[i]:
+            above[j].add(i)
     return tuple(
         (i, j) for i in idx for j in sorted(below[i]) if below[i].isdisjoint(above[j])
     )

@@ -256,12 +256,33 @@ class Subgroup:
     ``basis`` is the Hermite-form basis of the preimage lattice in Z^k
     (which contains the relation lattice diag(invariant factors)), so two
     equal subgroups always compare equal.  ``generators`` lists the
-    nonzero basis vectors reduced modulo the invariant factors.
+    nonzero basis vectors reduced modulo the invariant factors.  Any other
+    basis or generator list raises ValueError, so that ``contains`` may
+    solve by forward substitution.
     """
 
     ambient: FiniteAbelianGroup
     generators: tuple[tuple[int, ...], ...]
     basis: Matrix
+
+    def __post_init__(self):
+        k = len(self.ambient.invariant_factors)
+        basis = self.basis
+        if len(basis) != k or any(len(row) != k for row in basis):
+            raise ValueError(f"basis {basis} is not {k} x {k}")
+        for i, row in enumerate(basis):
+            if row[i] < 1 or any(row[:i]) or not all(
+                0 <= row[j] < basis[j][j] for j in range(i + 1, k)
+            ):
+                raise ValueError(f"basis {basis} is not in Hermite form")
+        for rel in _relation_rows(self.ambient):
+            if _lattice_coordinates(basis, rel) is None:
+                raise ValueError(f"basis {basis} leaves out the relation {rel}")
+        if self.generators != _reduced_rows(self.ambient, basis):
+            raise ValueError(
+                f"generators {self.generators} are not the reduced nonzero"
+                f" rows of the basis {basis}"
+            )
 
     @property
     def order(self) -> int:
@@ -291,13 +312,13 @@ class Subgroup:
         return frozenset(seen)
 
 
+def _reduced_rows(group: FiniteAbelianGroup, basis: Matrix) -> Matrix:
+    """The rows of ``basis`` reduced into ``group``, the zero ones left out."""
+    return tuple(g for g in map(group.reduce, basis) if any(g))
+
+
 def _subgroup_from_basis(group: FiniteAbelianGroup, basis: Matrix) -> Subgroup:
-    gens = []
-    for row in basis:
-        g = group.reduce(row)
-        if any(g):
-            gens.append(g)
-    return Subgroup(group, tuple(gens), basis)
+    return Subgroup(group, _reduced_rows(group, basis), basis)
 
 
 def subgroup_from_generators(group: FiniteAbelianGroup, gens) -> Subgroup:
@@ -330,31 +351,37 @@ def enumerate_subgroups(
     """All subgroups, sorted by (order, canonical basis).
 
     Candidates are the Hermite-form bases of full-rank lattices between
-    the relation lattice and Z^k; the divisibility constraint on the
-    diagonal is forced by containment of the relations, the rest is an
-    explicit membership filter.
+    the relation lattice and Z^k, built from the last row up: the pivot of
+    row i divides the i-th invariant factor, the entries right of it lie
+    below the pivots of their columns, and the i-th relation, whose forward
+    substitution reads rows i onwards only, must lie in the lattice of the
+    rows built so far before any row above them is tried.
     """
     if group.order > cap:
         raise EnumerationCapError(
             f"group of order {group.order} exceeds the enumeration cap {cap}"
         )
-    k = len(group.invariant_factors)
-    column_choices = []
-    for j, d in enumerate(group.invariant_factors):
-        choices = []
-        for pivot in _divisors(d):
-            for above in itertools.product(range(pivot), repeat=j):
-                choices.append(above + (pivot,))
-        column_choices.append(choices)
-
+    factors = group.invariant_factors
+    k = len(factors)
     found = []
-    relations = _relation_rows(group)
-    for cols in itertools.product(*column_choices):
-        basis = tuple(
-            tuple(cols[j][i] if i <= j else 0 for j in range(k)) for i in range(k)
-        )
-        if all(_lattice_coordinates(basis, rel) is not None for rel in relations):
-            found.append(_subgroup_from_basis(group, basis))
+
+    def extend(rows: tuple[tuple[int, ...], ...]) -> None:
+        i = k - len(rows)
+        if i == 0:
+            found.append(_subgroup_from_basis(group, rows))
+            return
+        i -= 1
+        # the relation d_i e_i, cut to columns i onwards
+        relation = (factors[i],) + (0,) * len(rows)
+        tails = [row[i:] for row in rows]
+        entries = [range(row[i + 1 + n]) for n, row in enumerate(rows)]
+        for pivot in _divisors(factors[i]):
+            for above in itertools.product(*entries):
+                head = (pivot, *above)
+                if _lattice_coordinates((head, *tails), relation) is not None:
+                    extend(((0,) * i + head, *rows))
+
+    extend(())
     found.sort(key=lambda s: (s.order, s.basis))
     return found
 

@@ -9,7 +9,16 @@ cross-checked as the total mass of the weight multiset, and decompositions
 against the convolution of weight multisets.  All values are exact
 integers.
 
-Three ``functools.cache`` helpers keep work that repeats across calls,
+The recursion sums its root strings over classes of positive roots, not
+over each root (Moody and Patera, Fast recursion formula for weight
+multiplicities, Bull. AMS 7, 1982; Humphreys, Introduction to Lie Algebras
+and Representation Theory, 22.3).  The simple reflections at the zero
+coordinates of a weight mu fix mu, and the multiplicities and the form are
+Weyl-invariant, so the roots of one of their orbits, each taken up to
+sign, have equal string sums through mu: one string per class, times the
+class size, gives the same exact sum.
+
+Five ``functools.cache`` helpers keep work that repeats across calls,
 and every call returns a fresh dict, so a caller may change what it gets:
 
 - ``_dominant_table``: dominant multiplicities, keyed by (root system,
@@ -18,9 +27,13 @@ and every call returns a fresh dict, so a caller may change what it gets:
   system, dominant weight), as one flat tuple of coordinates;
 - ``_decomposition``: decompositions, keyed by (root system, smaller
   weight, larger weight), so both argument orders share an entry and a hit
-  computes no Weyl dimension.
+  computes no Weyl dimension;
+- ``_weyl_dim``: Weyl dimensions, keyed by (root system, highest weight),
+  so the two that order each new decomposition are computed once;
+- ``_root_classes``: the classes of positive roots that the recursion sums
+  over, keyed by (root system, zero coordinates of the weight).
 
-The highest weights in cached decompositions are shared tuples: a fourth
+The highest weights in cached decompositions are shared tuples: a sixth
 cache, ``_intern``, returns the first tuple it was given for each value.
 """
 
@@ -29,7 +42,14 @@ from __future__ import annotations
 import functools
 from operator import add, mul, sub
 
-from .rootsys import RootSystem, Weight, _require_dominant, _straighten, weyl_orbit
+from .rootsys import (
+    PositiveRootData,
+    RootSystem,
+    Weight,
+    _require_dominant,
+    _straighten,
+    weyl_orbit,
+)
 
 WeightMultiset = dict[Weight, int]
 Decomposition = dict[Weight, int]
@@ -39,12 +59,17 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """dim V(lam) as the product over positive roots of the shifted-to-plain
     coroot pairing ratio of lam + rho against rho."""
     _require_dominant(rs, lam)
+    return _weyl_dim(rs, tuple(lam))
+
+
+@functools.cache
+def _weyl_dim(rs: RootSystem, lam: Weight) -> int:
     num = 1
     den = 1
     shifted = [c + 1 for c in lam]
     for p in rs.positive_root_data:
         k = p.coroot
-        num *= sum(a * b for a, b in zip(k, shifted))
+        num *= sum(map(mul, k, shifted))
         den *= sum(k)
     q, r = divmod(num, den)
     if r:
@@ -92,8 +117,13 @@ def _dominant_table(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
         if not any(diff):
             table[mu] = 1
             continue
+        # the reflections at mu's zero coordinates fix mu, so the roots of
+        # one of their classes have equal string sums: a root with
+        # (mu, alpha) > 0 stays positive, and at (mu, alpha) = 0 the strings
+        # of alpha and -alpha through mu give the same sum
         acc = 0
-        for p in positive:
+        zeros = tuple(i for i, c in enumerate(mu) if not c)
+        for p, size in _root_classes(rs, zeros):
             proot = p.root
             pcoroot = p.coroot
             string = 0
@@ -105,7 +135,7 @@ def _dominant_table(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
                 if m == 0:
                     break
                 string += m * sum(map(mul, pcoroot, v))
-            acc += string * p.norm
+            acc += size * string * p.norm
         # (lam + mu + 2 rho, lam - mu) in the same integer scaling
         den = sum(
             diff[i] * norms[i] * (two_rho_shift[i] + mu[i]) for i in range(rank)
@@ -115,6 +145,43 @@ def _dominant_table(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
             raise AssertionError("Freudenthal recursion must divide exactly")
         table[mu] = mult
     return table
+
+
+@functools.cache
+def _root_classes(
+    rs: RootSystem, zeros: tuple[int, ...]
+) -> tuple[tuple[PositiveRootData, int], ...]:
+    """The orbits of the simple reflections s_j, j in ``zeros``, on the
+    positive roots, a root sent below zero replaced by its negative: the
+    first root of each orbit in ``positive_root_data`` order, with the size
+    of the orbit."""
+    cols = rs.reflection_cols
+    positive = rs.positive_roots
+    seen: set[Weight] = set()
+    classes = []
+    for p in rs.positive_root_data:
+        if p.root in seen:
+            continue
+        orbit = {p.root}
+        queue = [p.root]
+        while queue:
+            v = queue.pop()
+            for j in zeros:
+                c = v[j]
+                if c == 0:
+                    continue
+                out = list(v)
+                for i, a in cols[j]:
+                    out[i] -= c * a
+                t = tuple(out)
+                if t not in positive:
+                    t = tuple(-x for x in t)
+                if t not in orbit:
+                    orbit.add(t)
+                    queue.append(t)
+        seen |= orbit
+        classes.append((p, len(orbit)))
+    return tuple(classes)
 
 
 def weight_multiplicities(rs: RootSystem, lam: Weight) -> WeightMultiset:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 
@@ -322,8 +323,13 @@ def test_label_refuses_a_diagram_outside_the_list():
     with pytest.raises(ValueError):
         Diagram(d4, half)
     # the right ambient group, but a basis not in Hermite form (3 is not
-    # reduced below the pivot 2), so it equals no enumerated subgroup
-    skew = Subgroup(fundamental_group(d4), ((1, 1),), ((1, 3), (0, 2)))
+    # reduced below the pivot 2): it would equal no enumerated subgroup, so
+    # it cannot be built either
+    with pytest.raises(ValueError, match="not in Hermite form"):
+        Subgroup(fundamental_group(d4), ((1, 1),), ((1, 3), (0, 2)))
+    # label_diagram still refuses a subgroup changed after its checks
+    skew = copy.copy(diagrams(d4)[2].subgroup)
+    object.__setattr__(skew, "basis", ((1, 3), (0, 2)))
     assert skew.order == 2
     with pytest.raises(ValueError, match="not among the diagrams"):
         label_diagram(Diagram(d4, skew))

@@ -16,6 +16,7 @@ from rootatlas.lattice import (
     Diagram,
     EnumerationCapError,
     FiniteAbelianGroup,
+    Subgroup,
     adjoint_diagram,
     center_char_group,
     cokernel,
@@ -330,6 +331,38 @@ def test_subgroup_canonical_equality():
     c = subgroup_from_generators(group, [(0, 2)])
     assert a != c
 
+
+
+def test_subgroup_refuses_a_basis_out_of_canonical_form():
+    z2z2 = FiniteAbelianGroup((2, 2))
+    # the set <(1, 1)>, but 3 is not reduced below the pivot 2
+    with pytest.raises(ValueError, match="not in Hermite form"):
+        Subgroup(z2z2, ((1, 1),), ((1, 3), (0, 2)))
+    # not upper triangular: forward substitution would call (1, 1) absent
+    with pytest.raises(ValueError, match="not in Hermite form"):
+        Subgroup(z2z2, ((1, 1),), ((2, 0), (1, 1)))
+    with pytest.raises(ValueError, match="not in Hermite form"):
+        Subgroup(z2z2, (), ((-1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="is not 2 x 2"):
+        Subgroup(z2z2, (), ((1, 0),))
+    # the relation (0, 2) of Z/2 x Z/2 is not a multiple of the pivot 4
+    with pytest.raises(ValueError, match="leaves out the relation"):
+        Subgroup(z2z2, ((1, 0),), ((1, 0), (0, 4)))
+    z4 = FiniteAbelianGroup((4,))
+    with pytest.raises(ValueError, match="leaves out the relation"):
+        Subgroup(z4, ((3,),), ((3,),))
+    with pytest.raises(ValueError, match="reduced nonzero rows"):
+        Subgroup(z4, ((6,),), ((2,),))
+    with pytest.raises(ValueError, match="reduced nonzero rows"):
+        Subgroup(z4, ((2,), (0,)), ((2,),))
+    assert Subgroup(z4, ((2,),), ((2,),)) == subgroup_from_generators(z4, [(2,)])
+
+
+@pytest.mark.parametrize("factors", [(4,), (2, 2), (2, 4), (3, 9), (2, 2, 4)])
+def test_subgroup_accepts_every_canonical_basis(factors):
+    group = FiniteAbelianGroup(factors)
+    for s in enumerate_subgroups(group, cap=group.order):
+        assert Subgroup(group, s.generators, s.basis) == s
 
 def test_subgroup_membership():
     group = FiniteAbelianGroup((4,))

@@ -24,7 +24,12 @@ from rootatlas.repring import (
     weight_multiplicities,
     weyl_dim,
 )
-from rootatlas.rootsys import build_root_system, parse_cartan_type, weyl_orbit
+from rootatlas.rootsys import (
+    build_root_system,
+    parse_cartan_type,
+    simple_reflection,
+    weyl_orbit,
+)
 
 _SYSTEMS = {
     name: build_root_system(parse_cartan_type(name))
@@ -39,6 +44,8 @@ def _cold_caches():
         repring._flat_orbit,
         repring._decomposition,
         repring._intern,
+        repring._weyl_dim,
+        repring._root_classes,
     ):
         helper.cache_clear()
 
@@ -85,6 +92,61 @@ def test_repring_outputs_match_pinned_digest():
             feed(tensor_decompose(rs, mu, lam))
     assert digest.hexdigest() == PARITY_SHA256
 
+
+
+# the dominant tables of every dominant weight up to a coordinate sum, in
+# item order, pinned by one sha256; E8 at sum 1 includes its fundamental
+# weights of largest dimension
+TABLE_CORPUS = [
+    *((name, 3) for name in ("F4", "G2", "B4", "C4", "D4", "A2xB2", "A1xG2")),
+    *((name, 2) for name in ("E6", "E7", "A5", "B5", "A1xA1xA1")),
+    ("E8", 1),
+]
+TABLE_SHA256 = "e20fcd1187f92f9b5439fbafd0bb267217c6d3fb5f65abdca2a2ee0559aee5bf"
+
+
+def test_dominant_tables_match_pinned_digest():
+    _cold_caches()
+    digest = hashlib.sha256()
+    for name, bound in TABLE_CORPUS:
+        rs = build_root_system(parse_cartan_type(name))
+        for lam in dominant_weights_up_to(rs, bound):
+            table = dominant_weight_multiplicities(rs, lam)
+            digest.update(repr(list(table.items())).encode())
+    assert digest.hexdigest() == TABLE_SHA256
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4", "F4", "A1xA1", "A2xB2"])
+def test_root_classes_are_the_reflection_orbits_up_to_sign(name):
+    rs = build_root_system(parse_cartan_type(name))
+    positive = rs.positive_roots
+    for size in range(rs.rank + 1):
+        for zeros in itertools.combinations(range(rs.rank), size):
+            # the classes of the relation alpha ~ +-s_j(alpha), by closure
+            parts = {}
+            for root in sorted(positive):
+                if root in parts:
+                    continue
+                part = {root}
+                queue = [root]
+                while queue:
+                    v = queue.pop()
+                    for j in zeros:
+                        t = simple_reflection(rs, j + 1, v)
+                        t = t if t in positive else tuple(-c for c in t)
+                        if t not in part:
+                            part.add(t)
+                            queue.append(t)
+                for v in part:
+                    parts[v] = frozenset(part)
+            classes = repring._root_classes(rs, zeros)
+            assert sum(n for _, n in classes) == len(positive)
+            found = [parts[p.root] for p, _ in classes]
+            assert set(found) == set(parts.values())
+            assert len(found) == len(set(found))
+            assert [n for _, n in classes] == [len(part) for part in found]
+    singletons = repring._root_classes(rs, ())
+    assert singletons == tuple((p, 1) for p in rs.positive_root_data)
 
 # frozen dimensions for standard small modules
 KNOWN_DIMS = [
@@ -391,6 +453,74 @@ def test_tensor_matches_character_convolution(name, lam, mu):
             recombined[w] = recombined.get(w, 0) + mult * m
     assert product == recombined
 
+
+
+def _lr_coefficients(lam, mu, rows):
+    """The Littlewood-Richardson rule (Fulton, Young Tableaux, section 5):
+    the coefficient of s_nu in s_lam * s_mu over partitions of at most
+    ``rows`` rows counts the skew tableaux on nu/lam of content mu whose
+    reading word (rows top to bottom, each right to left) is a lattice word.
+    The tableaux grow one label at a time, label k as a horizontal strip
+    ``add`` of mu_k boxes; in the reading word, the labels k through row r
+    may not outnumber the labels k - 1 above row r."""
+    out = {}
+
+    def grow(k, shape, prev):
+        if k == len(mu):
+            nu = tuple(shape)
+            out[nu] = out.get(nu, 0) + 1
+            return
+
+        def place(r, add, left, seen):
+            if r == rows:
+                if not left:
+                    grow(k + 1, [a + b for a, b in zip(shape, add)], add)
+                return
+            room = left if r == 0 else min(left, shape[r - 1] - shape[r])
+            above = sum(prev[:r]) if k else mu[k]
+            for x in range(min(room, above - seen) + 1):
+                place(r + 1, add + [x], left - x, seen + x)
+
+        place(0, [], mu[k], 0)
+
+    grow(0, list(lam) + [0] * (rows - len(lam)), None)
+    return out
+
+
+def _partition(w):
+    """The partition of an A_n highest weight: column lengths read off the
+    fundamental coordinates, n + 1 parts with the last zero."""
+    return tuple(sum(w[i:]) for i in range(len(w))) + (0,)
+
+
+def _sl_weight(nu):
+    return tuple(a - b for a, b in zip(nu, nu[1:]))
+
+
+def test_lr_rule_small_cases():
+    # s_(1) s_(1) = s_(2) + s_(1,1); s_(2,1)^2 in three rows
+    assert _lr_coefficients((1,), (1,), 2) == {(2, 0): 1, (1, 1): 1}
+    square = _lr_coefficients((2, 1), (2, 1), 3)
+    assert square[(3, 2, 1)] == 2
+    assert square == {
+        (4, 2, 0): 1, (4, 1, 1): 1, (3, 3, 0): 1, (3, 2, 1): 2,
+        (2, 2, 2): 1,
+    }
+
+
+# the whole A5 pool of the tensor-cold benchmark, of which each seed draws
+# two pairs in three: every pair of weights of coordinate sum 1 or 2, none
+# of them near its dimension cap
+def test_tensor_matches_littlewood_richardson_on_a5():
+    rs = build_root_system(parse_cartan_type("A5"))
+    weights = [w for w in dominant_weights_up_to(rs, 2) if sum(w)]
+    assert max(weyl_dim(rs, w) for w in weights) < 1000
+    for lam, mu in itertools.combinations_with_replacement(weights, 2):
+        expected = {}
+        for nu, c in _lr_coefficients(_partition(lam), _partition(mu), 6).items():
+            w = _sl_weight(nu)
+            expected[w] = expected.get(w, 0) + c
+        assert tensor_decompose(rs, lam, mu) == expected, (lam, mu)
 
 def test_tensor_dimension_conservation():
     for name, lam, mu in [
