@@ -93,13 +93,17 @@ def label_diagram(d: Diagram, cap: int = DEFAULT_ENUMERATION_CAP) -> str:
 
 def hasse_edges(ds: list[Diagram]) -> tuple[tuple[int, int], ...]:
     """Cover relations of the isogeny order, from larger lattice to smaller, at the
-    cost of n * |pool| membership tests of the pooled generators and a set test
-    for each pair whose subgroup orders divide."""
+    cost of n * |pool| membership tests of the pooled generators and a bitmask
+    test for each pair whose subgroup orders divide."""
     if len({d.cartan_type for d in ds}) > 1:
         raise ValueError("diagrams of different Cartan types are incomparable")
-    gens = [d.subgroup.generators for d in ds]
-    pool = set().union(*gens)
-    held = [{g for g in pool if d.subgroup.contains(g)} for d in ds]
+    # each distinct generator gets one bit, so that a set of them is an int
+    bits: dict[tuple[int, ...], int] = {}
+    for d in ds:
+        for g in d.subgroup.generators:
+            bits.setdefault(g, 1 << len(bits))
+    need = [sum(bits[g] for g in d.subgroup.generators) for d in ds]
+    held = [sum(b for g, b in bits.items() if d.subgroup.contains(g)) for d in ds]
     # by Lagrange, ds[j] lies below ds[i] only when its order divides that of ds[i]
     orders = [d.subgroup.order for d in ds]
     by_order: dict[int, list[int]] = {}
@@ -107,21 +111,24 @@ def hasse_edges(ds: list[Diagram]) -> tuple[tuple[int, int], ...]:
         by_order.setdefault(order, []).append(j)
     idx = range(len(ds))
     below = [
-        {
+        sorted(
             j
             for order, js in by_order.items()
             if orders[i] % order == 0
             for j in js
-            if j != i and held[i].issuperset(gens[j])
-        }
+            if j != i and need[j] & held[i] == need[j]
+        )
         for i in idx
     ]
-    above: list[set[int]] = [set() for _ in idx]
+    # the sets below[i] and above[j] as int masks over diagram indices
+    below_mask = [0] * len(ds)
+    above_mask = [0] * len(ds)
     for i in idx:
         for j in below[i]:
-            above[j].add(i)
+            below_mask[i] |= 1 << j
+            above_mask[j] |= 1 << i
     return tuple(
-        (i, j) for i in idx for j in sorted(below[i]) if below[i].isdisjoint(above[j])
+        (i, j) for i in idx for j in below[i] if not below_mask[i] & above_mask[j]
     )
 
 

@@ -2,12 +2,13 @@
 
 Dimensions come from the Weyl product formula, weight multiplicities from
 the Freudenthal recursion, and tensor product decompositions from the
-signed straightening of rho-shifted weights.  The recursion straightens
-through ``rootsys._straighten``, and the decomposition runs the same loop
-inline.  Two independent routes are deliberately kept: dimensions can be
-cross-checked as the total mass of the weight multiset, and decompositions
-against the convolution of weight multisets.  All values are exact
-integers.
+signed straightening of rho-shifted weights.  Both the recursion and the
+decomposition straighten through ``rootsys._straighten``; the decomposition
+first drops, with a wall test run in C, every shifted weight with a zero
+coordinate, most of the weights of a large product.  Two independent
+routes are deliberately kept: dimensions can be cross-checked as the total
+mass of the weight multiset, and decompositions against the convolution of
+weight multisets.  All values are exact integers.
 
 The recursion sums its root strings over classes of positive roots, not
 over each root (Moody and Patera, Fast recursion formula for weight
@@ -23,8 +24,10 @@ and every call returns a fresh dict, so a caller may change what it gets:
 
 - ``_dominant_table``: dominant multiplicities, keyed by (root system,
   highest weight);
-- ``_flat_orbit``: the Weyl orbit of each dominant weight, keyed by (root
-  system, dominant weight), as one flat tuple of coordinates;
+- ``_orbit``: the Weyl orbit of each dominant weight, keyed by (root
+  system, dominant weight), as the frozenset ``weyl_orbit`` returns: a
+  weight multiset is built from it in C with the hashes it already holds,
+  and its iteration order fixes the item order of the multiset;
 - ``_decomposition``: decompositions, keyed by (root system, smaller
   weight, larger weight), so both argument orders share an entry and a hit
   computes no Weyl dimension;
@@ -40,6 +43,7 @@ cache, ``_intern``, returns the first tuple it was given for each value.
 from __future__ import annotations
 
 import functools
+from itertools import compress, repeat
 from operator import add, mul, sub
 
 from .rootsys import (
@@ -187,21 +191,15 @@ def _root_classes(
 def weight_multiplicities(rs: RootSystem, lam: Weight) -> WeightMultiset:
     """The full weight multiset of V(lam): Weyl-invariant, total mass the
     Weyl dimension."""
-    table = dominant_weight_multiplicities(rs, lam)
-    rank = rs.rank
     out: WeightMultiset = {}
-    for mu, m in table.items():
-        for w in zip(*[iter(_flat_orbit(rs, mu))] * rank):
-            out[w] = m
+    for mu, m in dominant_weight_multiplicities(rs, lam).items():
+        out.update(dict.fromkeys(_orbit(rs, mu), m))
     return out
 
 
-# each orbit is one flat tuple, since a tuple per point costs about three
-# times the memory; it keeps the orbit frozenset's iteration order, which
-# fixes the item order of weight multisets
 @functools.cache
-def _flat_orbit(rs: RootSystem, mu: Weight) -> tuple[int, ...]:
-    return tuple(c for w in weyl_orbit(rs, mu) for c in w)
+def _orbit(rs: RootSystem, mu: Weight) -> frozenset[Weight]:
+    return weyl_orbit(rs, mu)
 
 
 # one shared tuple per highest weight, the first one seen, so that cached
@@ -231,31 +229,20 @@ def _decomposition(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
 
     cols = rs.reflection_cols
     shifted = [c + 1 for c in lam]
+    wm = weight_multiplicities(rs, mu)
     acc: dict[Weight, int] = {}
-    for nu, mult in weight_multiplicities(rs, mu).items():
-        v = tuple(map(add, shifted, nu))
-        # a weight with a zero coordinate lies on a wall: a simple reflection
-        # fixes it, so it is singular and contributes nothing.  Reflections
-        # keep a weight singular or regular, so it goes at the first zero,
-        # before straightening or at the dominant end of it
+    # a weight nu with a zero coordinate in lam + rho + nu lies on a wall: a
+    # simple reflection fixes it, so it is singular and contributes nothing.
+    # compress drops these in C, before any bytecode runs for them
+    regular = map(all, map(map, repeat(add), repeat(shifted), wm))
+    for nu, mult in compress(wm.items(), regular):
+        v, sign = _straighten(cols, map(add, shifted, nu))
+        # a weight off the simple walls may still lie on another wall;
+        # reflections keep it singular, so it straightens onto a simple one
         if 0 in v:
             continue
-        c = min(v)
-        if c < 0:
-            # the loop of rootsys._straighten, kept inline to carry the sign
-            # in mult: calling the helper here made the tensor-cold
-            # benchmark's wall time about 5% longer
-            vec = list(v)
-            while c < 0:
-                for j, a in cols[vec.index(c)]:
-                    vec[j] -= c * a
-                mult = -mult
-                c = min(vec)
-            if c == 0:
-                continue
-            v = tuple(vec)
         # keyed by the rho-shifted weight; rho comes off the survivors below
-        acc[v] = acc.get(v, 0) + mult
+        acc[v] = acc.get(v, 0) + sign * mult
 
     result = {}
     for w, m in acc.items():

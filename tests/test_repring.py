@@ -26,6 +26,7 @@ from rootatlas.repring import (
 )
 from rootatlas.rootsys import (
     build_root_system,
+    dominant_representative,
     parse_cartan_type,
     simple_reflection,
     weyl_orbit,
@@ -41,7 +42,7 @@ def _cold_caches():
     """Empty repring's caches and its intern table."""
     for helper in (
         repring._dominant_table,
-        repring._flat_orbit,
+        repring._orbit,
         repring._decomposition,
         repring._intern,
         repring._weyl_dim,
@@ -91,6 +92,45 @@ def test_repring_outputs_match_pinned_digest():
             feed(tensor_decompose(rs, lam, mu))
             feed(tensor_decompose(rs, mu, lam))
     assert digest.hexdigest() == PARITY_SHA256
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4", "F4", "A1xA2"])
+def test_weight_multiset_order_is_table_then_orbit_order(name):
+    # the invariant behind the digest's item order: the dominant weights in
+    # table order, each followed through its Weyl orbit in the orbit's own
+    # iteration order
+    rs = build_root_system(parse_cartan_type(name))
+    _cold_caches()
+    for lam in dominant_weights_up_to(rs, 2):
+        expected = [
+            (w, m)
+            for mu, m in dominant_weight_multiplicities(rs, lam).items()
+            for w in weyl_orbit(rs, mu)
+        ]
+        assert list(weight_multiplicities(rs, lam).items()) == expected
+
+
+def test_parity_corpus_straightens_a_weight_onto_a_wall():
+    # a shifted weight with no zero coordinate passes the decomposition's
+    # wall test, yet may be singular: then it straightens onto a wall, and
+    # only the check after straightening drops it.  The digest covers that
+    # check only if some weight of the corpus is of this kind
+    def reaches_a_wall(name):
+        rs = build_root_system(parse_cartan_type(name))
+        weights = dominant_weights_up_to(rs, 2)
+        for pair in itertools.combinations_with_replacement(weights, 2):
+            # the decomposition runs over the weights of the factor of
+            # smaller (dimension, weight)
+            small, big = sorted(pair, key=lambda w: (weyl_dim(rs, w), w))
+            for nu in weight_multiplicities(rs, small):
+                v = tuple(b + 1 + c for b, c in zip(big, nu))
+                if 0 not in v and dominant_representative(rs, v)[2]:
+                    return True
+        return False
+
+    assert any(
+        reaches_a_wall(name) for name, sample in PARITY_CORPUS if sample is None
+    )
 
 
 
