@@ -300,16 +300,17 @@ class Subgroup:
         return all(self.contains(g) for g in other.generators)
 
     def elements(self) -> frozenset[tuple[int, ...]]:
-        seen = {(0,) * len(self.ambient.invariant_factors)}
-        queue = list(seen)
-        while queue:
-            x = queue.pop()
-            for g in self.generators:
-                y = self.ambient.add(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return frozenset(seen)
+        # the sums of c_j times basis row j, 0 <= c_j < n_j / d_j for the
+        # invariant factor n_j and the pivot d_j, give each element once: at
+        # the first j where two coefficient vectors differ, their sums differ
+        # by a nonzero multiple of d_j below n_j
+        group = self.ambient
+        out = [(0,) * len(group.invariant_factors)]
+        for j, row in enumerate(self.basis):
+            steps = group.invariant_factors[j] // row[j]
+            mults = [group.reduce([c * x for x in row]) for c in range(1, steps)]
+            out += [group.add(x, m) for m in mults for x in out]
+        return frozenset(out)
 
 
 def _reduced_rows(group: FiniteAbelianGroup, basis: Matrix) -> Matrix:

@@ -4,11 +4,11 @@ Dimensions come from the Weyl product formula, weight multiplicities from
 the Freudenthal recursion, and tensor product decompositions from the
 signed straightening of rho-shifted weights.  Both the recursion and the
 decomposition straighten through ``rootsys._straighten``; the decomposition
-first drops, with a wall test run in C, every shifted weight with a zero
-coordinate, most of the weights of a large product.  Two independent
-routes are deliberately kept: dimensions can be cross-checked as the total
-mass of the weight multiset, and decompositions against the convolution of
-weight multisets.  All values are exact integers.
+first drops every shifted weight with a zero coordinate, most of the weights
+of a large product, by a wall test read from cached bitmasks.  Two
+independent routes are deliberately kept: dimensions can be cross-checked
+as the total mass of the weight multiset, and decompositions against the
+convolution of weight multisets.  All values are exact integers.
 
 The recursion sums its root strings over classes of positive roots, not
 over each root (Moody and Patera, Fast recursion formula for weight
@@ -19,7 +19,7 @@ Weyl-invariant, so the roots of one of their orbits, each taken up to
 sign, have equal string sums through mu: one string per class, times the
 class size, gives the same exact sum.
 
-Five ``functools.cache`` helpers keep work that repeats across calls,
+Seven ``functools.cache`` helpers keep work that repeats across calls,
 and every call returns a fresh dict, so a caller may change what it gets:
 
 - ``_dominant_table``: dominant multiplicities, keyed by (root system,
@@ -34,9 +34,22 @@ and every call returns a fresh dict, so a caller may change what it gets:
 - ``_weyl_dim``: Weyl dimensions, keyed by (root system, highest weight),
   so the two that order each new decomposition are computed once;
 - ``_root_classes``: the classes of positive roots that the recursion sums
-  over, keyed by (root system, zero coordinates of the weight).
+  over, keyed by (root system, zero coordinates of the weight);
+- ``_orbit_walls``: wall masks of one orbit, keyed by (root system,
+  dominant weight): for each coordinate i and each value -c < 0 it takes,
+  an int whose bit k is set when point k of the ``_orbit`` frozenset, in
+  its iteration order, has -c at i;
+- ``_module_walls``: the same masks over a whole weight multiset, keyed by
+  (root system, highest weight): the orbit masks shifted by the sizes of
+  the orbits before them.  The multiset lists the dominant weights in
+  ``_dominant_table`` order, each followed by its cached orbit in iteration
+  order, so bit k is item k of ``weight_multiplicities``.  For a weight nu
+  of V(mu), lam + rho + nu has a zero coordinate exactly when
+  nu_i = -(lam_i + 1) for some i, so a decomposition finds the weights it
+  drops in rank ORs.  The
+  masks hold only for the cached frozensets: clear the two with ``_orbit``.
 
-The highest weights in cached decompositions are shared tuples: a sixth
+The highest weights in cached decompositions are shared tuples: an eighth
 cache, ``_intern``, returns the first tuple it was given for each value.
 """
 
@@ -44,7 +57,7 @@ from __future__ import annotations
 
 import functools
 from itertools import compress, repeat
-from operator import add, mul, sub
+from operator import add, eq, mul, or_, sub
 
 from .rootsys import (
     PositiveRootData,
@@ -202,6 +215,54 @@ def _orbit(rs: RootSystem, mu: Weight) -> frozenset[Weight]:
     return weyl_orbit(rs, mu)
 
 
+# a 0/1 byte string reversed and read as binary, so that byte k is bit k
+_TO_BINARY = bytes.maketrans(b"\x00\x01", b"01")
+# binary digits, lowest bit first, as the selector of the bits left clear
+_CLEAR = bytes.maketrans(b"01", b"\x01\x00")
+
+
+@functools.cache
+def _orbit_walls(rs: RootSystem, mu: Weight) -> tuple[dict[int, int], ...]:
+    """Per coordinate i, the map from each c > 0 with -c among the i-th
+    coordinates of ``_orbit(rs, mu)`` to the bitmask of the positions, in
+    the orbit's iteration order, whose i-th coordinate is -c."""
+    return tuple(
+        {
+            -c: int(bytes(map(eq, col, repeat(c))).translate(_TO_BINARY)[::-1], 2)
+            for c in set(col)
+            if c < 0
+        }
+        for col in zip(*_orbit(rs, mu))
+    )
+
+
+@functools.cache
+def _module_walls(rs: RootSystem, lam: Weight) -> tuple[dict[int, int], ...]:
+    """The masks of ``_orbit_walls`` over the whole weight multiset of
+    V(lam): each orbit's masks shifted past the orbits before it in table
+    order, so that bit k stands for item k of ``weight_multiplicities``."""
+    walls: list[dict[int, int]] = [{} for _ in range(rs.rank)]
+    offset = 0
+    for mu in _dominant_table(rs, lam):
+        for out, masks in zip(walls, _orbit_walls(rs, mu)):
+            for c, bits in masks.items():
+                out[c] = out.get(c, 0) | bits << offset
+        offset += len(_orbit(rs, mu))
+    return tuple(walls)
+
+
+def _off_walls(rs: RootSystem, shifted: list[int], mu: Weight, size: int) -> bytes:
+    """One byte per item nu of the ``size`` items of ``weight_multiplicities(rs,
+    mu)``: 1 when ``shifted + nu`` has no zero coordinate, else 0.
+
+    A zero at coordinate i means nu_i = -shifted[i], so the wall items are
+    the OR over i of one cached mask each."""
+    wall = functools.reduce(
+        or_, map(dict.get, _module_walls(rs, mu), shifted, repeat(0)), 0
+    )
+    return format(wall, f"0{size}b")[::-1].encode().translate(_CLEAR)
+
+
 # one shared tuple per highest weight, the first one seen, so that cached
 # decompositions do not each hold their own copy
 @functools.cache
@@ -233,9 +294,9 @@ def _decomposition(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
     acc: dict[Weight, int] = {}
     # a weight nu with a zero coordinate in lam + rho + nu lies on a wall: a
     # simple reflection fixes it, so it is singular and contributes nothing.
-    # compress drops these in C, before any bytecode runs for them
-    regular = map(all, map(map, repeat(add), repeat(shifted), wm))
-    for nu, mult in compress(wm.items(), regular):
+    # The cached masks of V(mu) mark these items for this lam, and compress
+    # skips them without running any bytecode for them
+    for nu, mult in compress(wm.items(), _off_walls(rs, shifted, mu, len(wm))):
         v, sign = _straighten(cols, map(add, shifted, nu))
         # a weight off the simple walls may still lie on another wall;
         # reflections keep it singular, so it straightens onto a simple one
@@ -247,8 +308,8 @@ def _decomposition(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
     result = {}
     for w, m in acc.items():
         if m:
-            result[_intern(tuple(c - 1 for c in w))] = m
-    if any(m < 0 for m in result.values()):
+            result[_intern(tuple(map(sub, w, repeat(1))))] = m
+    if min(result.values(), default=0) < 0:
         raise AssertionError("cancellation must leave positives")
     return result
 

@@ -8,6 +8,7 @@ dimension conservation and pointwise character convolution.
 import hashlib
 import itertools
 import random
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,8 @@ def _cold_caches():
         repring._intern,
         repring._weyl_dim,
         repring._root_classes,
+        repring._orbit_walls,
+        repring._module_walls,
     ):
         helper.cache_clear()
 
@@ -108,6 +111,40 @@ def test_weight_multiset_order_is_table_then_orbit_order(name):
             for w in weyl_orbit(rs, mu)
         ]
         assert list(weight_multiplicities(rs, lam).items()) == expected
+
+
+def _selector_cases():
+    # each pair of the parity corpus, the same seeded sample on F4 and E6,
+    # both ways round, then coordinates past a byte: A1 (300) and (299), and
+    # A2 (255,300) over the module (0,256), whose weights reach -256
+    rng = random.Random(1)
+    for name, sample in PARITY_CORPUS:
+        rs = build_root_system(parse_cartan_type(name))
+        weights = dominant_weights_up_to(rs, 2)
+        pairs = list(itertools.combinations_with_replacement(weights, 2))
+        if sample is not None:
+            pairs = rng.sample(pairs, sample)
+        for lam, mu in pairs:
+            yield rs, lam, mu
+            yield rs, mu, lam
+    yield _SYSTEMS["A1"], (300,), (299,)
+    yield _SYSTEMS["A1"], (299,), (300,)
+    yield _SYSTEMS["A2"], (255, 300), (0, 256)
+
+
+def test_wall_selector_matches_the_direct_wall_test():
+    _cold_caches()
+    walls = past_a_byte = 0
+    for rs, lam, mu in _selector_cases():
+        shifted = [c + 1 for c in lam]
+        wm = weight_multiplicities(rs, mu)
+        selector = repring._off_walls(rs, shifted, mu, len(wm))
+        direct = [all(map(add, shifted, nu)) for nu in wm]
+        assert list(selector) == direct
+        walls += direct.count(False)
+        if max(shifted) > 255:
+            past_a_byte += direct.count(False)
+    assert walls and past_a_byte
 
 
 def test_parity_corpus_straightens_a_weight_onto_a_wall():
@@ -406,6 +443,14 @@ def test_repeated_calls_hit_the_caches(monkeypatch):
     for a, b in [(lam, mu), (mu, lam), (lam, mu)]:
         assert list(tensor_decompose(rs, a, b).items()) == first
     assert dims == [] and multisets == []
+
+    # a second product with the same smaller factor builds no new masks
+    masks = repring._orbit_walls.cache_info(), repring._module_walls.cache_info()
+    assert masks[1].currsize == 1
+    tensor_decompose(rs, (2, 0, 1), mu)
+    assert repring._orbit_walls.cache_info().misses == masks[0].misses
+    assert repring._module_walls.cache_info().misses == masks[1].misses
+    assert repring._module_walls.cache_info().hits == masks[1].hits + 1
 
     orbits.clear()
     weights = list(weight_multiplicities(rs, (2, 0, 0)).items())
