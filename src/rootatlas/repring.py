@@ -39,15 +39,19 @@ and every call returns a fresh dict, so a caller may change what it gets:
   dominant weight): for each coordinate i and each value -c < 0 it takes,
   an int whose bit k is set when point k of the ``_orbit`` frozenset, in
   its iteration order, has -c at i;
-- ``_module_walls``: the same masks over a whole weight multiset, keyed by
-  (root system, highest weight): the orbit masks shifted by the sizes of
-  the orbits before them.  The multiset lists the dominant weights in
-  ``_dominant_table`` order, each followed by its cached orbit in iteration
-  order, so bit k is item k of ``weight_multiplicities``.  For a weight nu
-  of V(mu), lam + rho + nu has a zero coordinate exactly when
-  nu_i = -(lam_i + 1) for some i, so a decomposition finds the weights it
-  drops in rank ORs.  The
-  masks hold only for the cached frozensets: clear the two with ``_orbit``.
+- ``_module``: the module V(lam), keyed by (root system, highest weight).
+  It holds the weights and the multiplicities of ``weight_multiplicities``
+  as two tuples, so only the first decomposition with V(lam) as its
+  smaller factor builds that dict, and it holds wall masks over the whole
+  module: the ``_orbit_walls`` masks of each orbit, shifted by the sizes
+  of the orbits before it.  The multiset lists the dominant weights in
+  ``_dominant_table`` order, each followed by its cached orbit in
+  iteration order, so bit k of a mask is item k of
+  ``weight_multiplicities``.  For a weight nu of V(mu), lam + rho + nu has
+  a zero coordinate exactly when nu_i = -(lam_i + 1) for some i, so a
+  decomposition finds the weights it drops in rank ORs.  The masks hold
+  only for the cached frozensets: clear ``_orbit_walls`` and ``_module``
+  with ``_orbit``.
 
 The highest weights in cached decompositions are shared tuples: an eighth
 cache, ``_intern``, returns the first tuple it was given for each value.
@@ -237,10 +241,14 @@ def _orbit_walls(rs: RootSystem, mu: Weight) -> tuple[dict[int, int], ...]:
 
 
 @functools.cache
-def _module_walls(rs: RootSystem, lam: Weight) -> tuple[dict[int, int], ...]:
-    """The masks of ``_orbit_walls`` over the whole weight multiset of
-    V(lam): each orbit's masks shifted past the orbits before it in table
-    order, so that bit k stands for item k of ``weight_multiplicities``."""
+def _module(
+    rs: RootSystem, lam: Weight
+) -> tuple[tuple[Weight, ...], tuple[int, ...], tuple[dict[int, int], ...]]:
+    """The weights of V(lam) and their multiplicities, as two tuples in the
+    item order of ``weight_multiplicities``, with the masks of
+    ``_orbit_walls`` over all of them: each orbit's masks shifted past the
+    orbits before it in table order, so that bit k stands for item k."""
+    wm = weight_multiplicities(rs, lam)
     walls: list[dict[int, int]] = [{} for _ in range(rs.rank)]
     offset = 0
     for mu in _dominant_table(rs, lam):
@@ -248,18 +256,18 @@ def _module_walls(rs: RootSystem, lam: Weight) -> tuple[dict[int, int], ...]:
             for c, bits in masks.items():
                 out[c] = out.get(c, 0) | bits << offset
         offset += len(_orbit(rs, mu))
-    return tuple(walls)
+    return tuple(wm), tuple(wm.values()), tuple(walls)
 
 
-def _off_walls(rs: RootSystem, shifted: list[int], mu: Weight, size: int) -> bytes:
-    """One byte per item nu of the ``size`` items of ``weight_multiplicities(rs,
-    mu)``: 1 when ``shifted + nu`` has no zero coordinate, else 0.
+def _off_walls(
+    walls: tuple[dict[int, int], ...], shifted: list[int], size: int
+) -> bytes:
+    """One byte per item nu of the ``size`` items whose wall masks are
+    ``walls``: 1 when ``shifted + nu`` has no zero coordinate, else 0.
 
     A zero at coordinate i means nu_i = -shifted[i], so the wall items are
     the OR over i of one cached mask each."""
-    wall = functools.reduce(
-        or_, map(dict.get, _module_walls(rs, mu), shifted, repeat(0)), 0
-    )
+    wall = functools.reduce(or_, map(dict.get, walls, shifted, repeat(0)), 0)
     return format(wall, f"0{size}b")[::-1].encode().translate(_CLEAR)
 
 
@@ -290,13 +298,15 @@ def _decomposition(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
 
     cols = rs.reflection_cols
     shifted = [c + 1 for c in lam]
-    wm = weight_multiplicities(rs, mu)
+    keys, mults, walls = _module(rs, mu)
     acc: dict[Weight, int] = {}
     # a weight nu with a zero coordinate in lam + rho + nu lies on a wall: a
     # simple reflection fixes it, so it is singular and contributes nothing.
     # The cached masks of V(mu) mark these items for this lam, and compress
     # skips them without running any bytecode for them
-    for nu, mult in compress(wm.items(), _off_walls(rs, shifted, mu, len(wm))):
+    for nu, mult in compress(
+        zip(keys, mults), _off_walls(walls, shifted, len(keys))
+    ):
         v, sign = _straighten(cols, map(add, shifted, nu))
         # a weight off the simple walls may still lie on another wall;
         # reflections keep it singular, so it straightens onto a simple one

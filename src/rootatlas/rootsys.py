@@ -303,14 +303,22 @@ def _straighten(cols, w: Weight) -> tuple[Weight, int]:
     return tuple(v), sign
 
 
+_INT_ONLY = frozenset({int})
+
+
 def _check_weight(rs: RootSystem, w: Weight) -> None:
     if len(w) != rs.rank:
         raise ValueError(f"weight {w} has length {len(w)}, expected {rs.rank}")
+    # the caches key weights by value, and 1.0 == True == 1: a float or bool
+    # coordinate would hand its own keys to later integer calls.  The set of
+    # types is built in C, so the check runs no bytecode per coordinate
+    if set(map(type, w)) != _INT_ONLY:
+        raise ValueError(f"weight {w} has a coordinate that is not an int")
 
 
 def _require_dominant(rs: RootSystem, w: Weight) -> None:
     _check_weight(rs, w)
-    if not is_dominant(w):
+    if min(w) < 0:
         raise ValueError(f"weight {w} is not dominant")
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootatlas import repring
+from rootatlas.grading import tensor_equivalent
 from rootatlas.lattice import weight_class_data
 from rootatlas.repring import (
     clebsch_gordan_sl2,
@@ -49,7 +50,7 @@ def _cold_caches():
         repring._weyl_dim,
         repring._root_classes,
         repring._orbit_walls,
-        repring._module_walls,
+        repring._module,
     ):
         helper.cache_clear()
 
@@ -138,7 +139,8 @@ def test_wall_selector_matches_the_direct_wall_test():
     for rs, lam, mu in _selector_cases():
         shifted = [c + 1 for c in lam]
         wm = weight_multiplicities(rs, mu)
-        selector = repring._off_walls(rs, shifted, mu, len(wm))
+        masks = repring._module(rs, mu)[2]
+        selector = repring._off_walls(masks, shifted, len(wm))
         direct = [all(map(add, shifted, nu)) for nu in wm]
         assert list(selector) == direct
         walls += direct.count(False)
@@ -300,6 +302,42 @@ def test_weyl_dim_rejects_non_dominant():
         tensor_decompose(_SYSTEMS["A2"], (1, 0), (0, -1))
 
 
+def _numbers(result):
+    """Every number in a result built of dicts, tuples, sets and ints."""
+    if isinstance(result, dict):
+        result = list(result.items())
+    if isinstance(result, (list, tuple, frozenset)):
+        for part in result:
+            yield from _numbers(part)
+    elif result is not None:
+        yield result
+
+
+_WEIGHT_CALLS = {
+    "tensor_decompose": lambda rs, w: tensor_decompose(rs, w, (0, 1)),
+    "weight_multiplicities": weight_multiplicities,
+    "dominant_weight_multiplicities": dominant_weight_multiplicities,
+    "weyl_dim": weyl_dim,
+    "weyl_orbit": weyl_orbit,
+    "tensor_equivalent": lambda rs, w: tensor_equivalent(rs, w, (0, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WEIGHT_CALLS))
+@pytest.mark.parametrize("bad", [(1.0, 0), (True, 0), (1, 0.0)])
+def test_non_int_coordinates_are_refused(name, bad):
+    # the caches are keyed by value and 1.0 == True == 1, so a float or bool
+    # weight let through would hand its keys to the integer calls after it
+    rs = _SYSTEMS["A2"]
+    call = _WEIGHT_CALLS[name]
+    _cold_caches()
+    with pytest.raises(ValueError, match="not an int"):
+        call(rs, bad)
+    numbers = list(_numbers(call(rs, (1, 0))))
+    assert numbers and {type(c) for c in numbers} == {int}
+    assert {type(c) for c in _numbers(tensor_decompose(rs, (1, 1), (1, 0)))} == {int}
+
+
 def test_weyl_dim_matches_freudenthal_mass():
     # two independent routes to the dimension must agree, on the first
     # call and on the second, which reads the cached orbits
@@ -444,13 +482,15 @@ def test_repeated_calls_hit_the_caches(monkeypatch):
         assert list(tensor_decompose(rs, a, b).items()) == first
     assert dims == [] and multisets == []
 
-    # a second product with the same smaller factor builds no new masks
-    masks = repring._orbit_walls.cache_info(), repring._module_walls.cache_info()
+    # a second product with the same smaller factor builds no new multiset
+    # and no new masks: it is one hit on the cached module
+    masks = repring._orbit_walls.cache_info(), repring._module.cache_info()
     assert masks[1].currsize == 1
     tensor_decompose(rs, (2, 0, 1), mu)
+    assert multisets == []
     assert repring._orbit_walls.cache_info().misses == masks[0].misses
-    assert repring._module_walls.cache_info().misses == masks[1].misses
-    assert repring._module_walls.cache_info().hits == masks[1].hits + 1
+    assert repring._module.cache_info().misses == masks[1].misses
+    assert repring._module.cache_info().hits == masks[1].hits + 1
 
     orbits.clear()
     weights = list(weight_multiplicities(rs, (2, 0, 0)).items())
@@ -458,6 +498,27 @@ def test_repeated_calls_hit_the_caches(monkeypatch):
     orbits.clear()
     assert list(weight_multiplicities(rs, (2, 0, 0)).items()) == weights
     assert orbits == []
+
+
+def test_module_does_not_alias_the_multiset_it_was_built_from(monkeypatch):
+    rs = _SYSTEMS["B3"]
+    mu = (0, 1, 0)
+    _cold_caches()
+    expected = list(tensor_decompose(rs, (2, 0, 1), mu).items())
+    _cold_caches()
+    built = []
+    original = repring.weight_multiplicities
+
+    def recorded(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(repring, "weight_multiplicities", recorded)
+    tensor_decompose(rs, (1, 0, 1), mu)
+    assert len(built) == 1
+    built[0].clear()
+    assert list(tensor_decompose(rs, (2, 0, 1), mu).items()) == expected
+    assert len(built) == 1
 
 
 def test_cold_tensor_decompose_does_not_rebuild_the_root_system():
