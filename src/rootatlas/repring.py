@@ -4,11 +4,12 @@ Dimensions come from the Weyl product formula, weight multiplicities from
 the Freudenthal recursion, and tensor product decompositions from the
 signed straightening of rho-shifted weights.  Both the recursion and the
 decomposition straighten through ``rootsys._straighten``; the decomposition
-first drops every shifted weight with a zero coordinate, most of the weights
-of a large product, by a wall test read from cached bitmasks.  Two
-independent routes are deliberately kept: dimensions can be cross-checked
-as the total mass of the weight multiset, and decompositions against the
-convolution of weight multisets.  All values are exact integers.
+first drops every shifted weight on the wall of a simple root or of a root
+of height two, most of the weights of a large product, by a wall test read
+from cached bitmasks.  Two independent routes are deliberately kept:
+dimensions can be cross-checked as the total mass of the weight multiset,
+and decompositions against the convolution of weight multisets.  All
+values are exact integers.
 
 The recursion sums its root strings over classes of positive roots, not
 over each root (Moody and Patera, Fast recursion formula for weight
@@ -19,7 +20,7 @@ Weyl-invariant, so the roots of one of their orbits, each taken up to
 sign, have equal string sums through mu: one string per class, times the
 class size, gives the same exact sum.
 
-Seven ``functools.cache`` helpers keep work that repeats across calls,
+Eight ``functools.cache`` helpers keep work that repeats across calls,
 and every call returns a fresh dict, so a caller may change what it gets:
 
 - ``_dominant_table``: dominant multiplicities, keyed by (root system,
@@ -35,25 +36,38 @@ and every call returns a fresh dict, so a caller may change what it gets:
   so the two that order each new decomposition are computed once;
 - ``_root_classes``: the classes of positive roots that the recursion sums
   over, keyed by (root system, zero coordinates of the weight);
+- ``_bonds``: per root system, the roots alpha_i + alpha_j of height two,
+  one per bond of the Dynkin diagram, as (i, j, k_i, k_j) with coroot
+  k_i alpha_i^vee + k_j alpha_j^vee;
 - ``_orbit_walls``: wall masks of one orbit, keyed by (root system,
-  dominant weight): for each coordinate i and each value -c < 0 it takes,
-  an int whose bit k is set when point k of the ``_orbit`` frozenset, in
-  its iteration order, has -c at i;
+  dominant weight).  Its wall columns are the rank coordinates nu_i, then
+  k_i nu_i + k_j nu_j for each of the ``_bonds``; for each column and each
+  value -c it takes at or below minus the least pairing a shifted weight
+  can have there (1, or k_i + k_j), an int whose bit k is set when point k
+  of the ``_orbit`` frozenset, in its iteration order, has -c there;
 - ``_module``: the module V(lam), keyed by (root system, highest weight).
   It holds the weights and the multiplicities of ``weight_multiplicities``
   as two tuples, so only the first decomposition with V(lam) as its
   smaller factor builds that dict, and it holds wall masks over the whole
-  module: the ``_orbit_walls`` masks of each orbit, shifted by the sizes
-  of the orbits before it.  The multiset lists the dominant weights in
-  ``_dominant_table`` order, each followed by its cached orbit in
-  iteration order, so bit k of a mask is item k of
-  ``weight_multiplicities``.  For a weight nu of V(mu), lam + rho + nu has
-  a zero coordinate exactly when nu_i = -(lam_i + 1) for some i, so a
-  decomposition finds the weights it drops in rank ORs.  The masks hold
-  only for the cached frozensets: clear ``_orbit_walls`` and ``_module``
-  with ``_orbit``.
+  module, column by column: the ``_orbit_walls`` masks of each orbit,
+  shifted by the sizes of the orbits before it.  The multiset lists the
+  dominant weights in ``_dominant_table`` order, each followed by its
+  cached orbit in iteration order, so bit k of a mask is item k of
+  ``weight_multiplicities``.  For a weight nu of V(mu), lam + rho + nu
+  pairs to zero with alpha^vee exactly when the column of alpha is minus
+  the pairing of lam + rho with alpha^vee, so a decomposition finds the
+  weights it drops in one OR per column.  The masks hold only for the
+  cached frozensets: clear ``_orbit_walls`` and ``_module`` with
+  ``_orbit``.
 
-The highest weights in cached decompositions are shared tuples: an eighth
+Why height two: a shifted weight that one simple reflection s_i takes onto
+the wall of a neighbouring alpha_j lay on the wall of s_i alpha_j, which is
+alpha_i + alpha_j when the bond is simple.  Weights one reflection away
+from dominant are most of the singular ones a product straightens, so
+these walls catch nearly all of them, and a column per higher root costs
+more than the straightenings it saves.
+
+The highest weights in cached decompositions are shared tuples: a ninth
 cache, ``_intern``, returns the first tuple it was given for each value.
 """
 
@@ -61,7 +75,7 @@ from __future__ import annotations
 
 import functools
 from itertools import compress, repeat
-from operator import add, eq, mul, or_, sub
+from operator import add, mul, or_, sub
 
 from .rootsys import (
     PositiveRootData,
@@ -226,18 +240,50 @@ _CLEAR = bytes.maketrans(b"01", b"\x01\x00")
 
 
 @functools.cache
+def _bonds(rs: RootSystem) -> tuple[tuple[int, int, int, int], ...]:
+    """One (i, j, k_i, k_j) per positive root alpha_i + alpha_j of height
+    two, one per bond of the Dynkin diagram, in ``positive_root_data``
+    order: its coroot is k_i alpha_i^vee + k_j alpha_j^vee."""
+    bonds = []
+    for p in rs.positive_root_data:
+        if sum(p.simple_coords) == 2:
+            i, j = (n for n, s in enumerate(p.simple_coords) if s)
+            bonds.append((i, j, p.coroot[i], p.coroot[j]))
+    return tuple(bonds)
+
+
+@functools.cache
 def _orbit_walls(rs: RootSystem, mu: Weight) -> tuple[dict[int, int], ...]:
-    """Per coordinate i, the map from each c > 0 with -c among the i-th
-    coordinates of ``_orbit(rs, mu)`` to the bitmask of the positions, in
-    the orbit's iteration order, whose i-th coordinate is -c."""
-    return tuple(
-        {
-            -c: int(bytes(map(eq, col, repeat(c))).translate(_TO_BINARY)[::-1], 2)
-            for c in set(col)
-            if c < 0
-        }
-        for col in zip(*_orbit(rs, mu))
-    )
+    """Per wall column of ``_orbit(rs, mu)``, the map from each c with -c
+    among the column's values to the bitmask of the positions, in the
+    orbit's iteration order, where the column is -c.  The columns are the
+    rank coordinates nu_i, then k_i nu_i + k_j nu_j per item of ``_bonds``.
+    A shifted weight pairs to at least 1 with a simple coroot and to at
+    least k_i + k_j with the coroot of alpha_i + alpha_j, so only the
+    values -c at or below these are kept."""
+    cols = list(zip(*_orbit(rs, mu)))
+    floors = [1] * rs.rank
+    for i, j, ki, kj in _bonds(rs):
+        cols.append(
+            tuple(
+                map(add, map(mul, cols[i], repeat(ki)), map(mul, cols[j], repeat(kj)))
+            )
+        )
+        floors.append(ki + kj)
+    walls = []
+    for col, floor in zip(cols, floors):
+        # one 0/1 byte per position for each value kept, in a single pass:
+        # a pass per value costs more once the bond columns take many values
+        flags: dict[int, bytearray] = {}
+        for k, c in enumerate(col):
+            if c <= -floor:
+                if c not in flags:
+                    flags[c] = bytearray(len(col))
+                flags[c][k] = 1
+        walls.append(
+            {-c: int(b.translate(_TO_BINARY)[::-1], 2) for c, b in flags.items()}
+        )
+    return tuple(walls)
 
 
 @functools.cache
@@ -249,7 +295,7 @@ def _module(
     ``_orbit_walls`` over all of them: each orbit's masks shifted past the
     orbits before it in table order, so that bit k stands for item k."""
     wm = weight_multiplicities(rs, lam)
-    walls: list[dict[int, int]] = [{} for _ in range(rs.rank)]
+    walls: list[dict[int, int]] = [{} for _ in range(rs.rank + len(_bonds(rs)))]
     offset = 0
     for mu in _dominant_table(rs, lam):
         for out, masks in zip(walls, _orbit_walls(rs, mu)):
@@ -260,14 +306,16 @@ def _module(
 
 
 def _off_walls(
-    walls: tuple[dict[int, int], ...], shifted: list[int], size: int
+    walls: tuple[dict[int, int], ...], pairings: list[int], size: int
 ) -> bytes:
     """One byte per item nu of the ``size`` items whose wall masks are
-    ``walls``: 1 when ``shifted + nu`` has no zero coordinate, else 0.
+    ``walls``: 1 when no wall column of nu is minus the matching entry of
+    ``pairings``, else 0.
 
-    A zero at coordinate i means nu_i = -shifted[i], so the wall items are
-    the OR over i of one cached mask each."""
-    wall = functools.reduce(or_, map(dict.get, walls, shifted, repeat(0)), 0)
+    With ``pairings`` the coroot pairings of a shifted weight, column by
+    column, the wall items are the OR over the columns of one cached mask
+    each."""
+    wall = functools.reduce(or_, map(dict.get, walls, pairings, repeat(0)), 0)
     return format(wall, f"0{size}b")[::-1].encode().translate(_CLEAR)
 
 
@@ -298,17 +346,21 @@ def _decomposition(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
 
     cols = rs.reflection_cols
     shifted = [c + 1 for c in lam]
+    pairings = shifted + [
+        ki * shifted[i] + kj * shifted[j] for i, j, ki, kj in _bonds(rs)
+    ]
     keys, mults, walls = _module(rs, mu)
     acc: dict[Weight, int] = {}
-    # a weight nu with a zero coordinate in lam + rho + nu lies on a wall: a
-    # simple reflection fixes it, so it is singular and contributes nothing.
-    # The cached masks of V(mu) mark these items for this lam, and compress
-    # skips them without running any bytecode for them
+    # a weight nu such that lam + rho + nu pairs to zero with a simple
+    # coroot or the coroot of a root of height two lies on a wall: the
+    # reflection in that root fixes it, so it is singular and contributes
+    # nothing.  The cached masks of V(mu) mark these items for this lam,
+    # and compress skips them without running any bytecode for them
     for nu, mult in compress(
-        zip(keys, mults), _off_walls(walls, shifted, len(keys))
+        zip(keys, mults), _off_walls(walls, pairings, len(keys))
     ):
         v, sign = _straighten(cols, map(add, shifted, nu))
-        # a weight off the simple walls may still lie on another wall;
+        # a weight off these walls may still lie on a higher root's wall;
         # reflections keep it singular, so it straightens onto a simple one
         if 0 in v:
             continue

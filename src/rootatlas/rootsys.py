@@ -183,23 +183,30 @@ def build_root_system(t: CartanType) -> RootSystem:
     rank = t.rank
     norms = simple_norms(t)
     columns = tuple(tuple(m[i][j] for i in range(rank)) for j in range(rank))
+    refl_cols = tuple(
+        tuple((i, m[i][j]) for i in range(rank) if m[i][j] != 0) for j in range(rank)
+    )
 
     # track each root's coordinates over the simple roots; its norm and
-    # coroot follow from them, so only the positive roots compute those
+    # coroot follow from them, so only the positive roots compute those.
+    # A reflection at a zero coordinate fixes the root, so it is skipped
     seen: dict[Weight, tuple[int, ...]] = {
         columns[j]: tuple(int(i == j) for i in range(rank)) for j in range(rank)
     }
     queue = list(columns)
     while queue:
         root = queue.pop()
-        simple = seen[root]
-        for i in range(rank):
-            c = root[i]
-            new_root = tuple(root[j] - c * m[j][i] for j in range(rank))
+        for i, c in enumerate(root):
+            if c == 0:
+                continue
+            out = list(root)
+            for j, a in refl_cols[i]:
+                out[j] -= c * a
+            new_root = tuple(out)
             if new_root not in seen:
-                seen[new_root] = tuple(
-                    s - c if j == i else s for j, s in enumerate(simple)
-                )
+                simple = list(seen[root])
+                simple[i] -= c
+                seen[new_root] = tuple(simple)
                 queue.append(new_root)
 
     positive = []
@@ -213,9 +220,6 @@ def build_root_system(t: CartanType) -> RootSystem:
             positive.append(PositiveRootData(root, simple, coroot, norm))
     positive.sort(key=lambda p: (sum(p.simple_coords), p.simple_coords))
 
-    refl_cols = tuple(
-        tuple((i, m[i][j]) for i in range(rank) if m[i][j] != 0) for j in range(rank)
-    )
     return RootSystem(
         cartan_type=t,
         rank=rank,

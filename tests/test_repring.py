@@ -8,7 +8,7 @@ dimension conservation and pointwise character convolution.
 import hashlib
 import itertools
 import random
-from operator import add
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +49,7 @@ def _cold_caches():
         repring._intern,
         repring._weyl_dim,
         repring._root_classes,
+        repring._bonds,
         repring._orbit_walls,
         repring._module,
     ):
@@ -116,8 +117,11 @@ def test_weight_multiset_order_is_table_then_orbit_order(name):
 
 def _selector_cases():
     # each pair of the parity corpus, the same seeded sample on F4 and E6,
-    # both ways round, then coordinates past a byte: A1 (300) and (299), and
-    # A2 (255,300) over the module (0,256), whose weights reach -256
+    # both ways round, then pairings past a byte: A1 (300) and (299); A2
+    # (255,300) over the module (0,256), whose weights reach -256 at a
+    # simple wall; and A2 (100,154) over (0,256), where lam + rho pairs to
+    # 256 with the coroot of alpha_1 + alpha_2 and nu = (-256, 0) meets
+    # that wall alone
     rng = random.Random(1)
     for name, sample in PARITY_CORPUS:
         rs = build_root_system(parse_cartan_type(name))
@@ -131,31 +135,76 @@ def _selector_cases():
     yield _SYSTEMS["A1"], (300,), (299,)
     yield _SYSTEMS["A1"], (299,), (300,)
     yield _SYSTEMS["A2"], (255, 300), (0, 256)
+    yield _SYSTEMS["A2"], (100, 154), (0, 256)
+
+
+def _height_two_coroots(rs):
+    return [p.coroot for p in rs.positive_root_data if sum(p.simple_coords) == 2]
 
 
 def test_wall_selector_matches_the_direct_wall_test():
+    # the decomposition drops nu when lam + rho + nu has a zero coordinate
+    # or pairs to zero with the coroot of a root of height two; the masks
+    # take the height-two columns in positive_root_data order
     _cold_caches()
-    walls = past_a_byte = 0
+    walls = height_two = past_a_byte = height_two_past_a_byte = 0
     for rs, lam, mu in _selector_cases():
         shifted = [c + 1 for c in lam]
+        coroots = _height_two_coroots(rs)
+        pairings = shifted + [sum(map(mul, k, shifted)) for k in coroots]
         wm = weight_multiplicities(rs, mu)
         masks = repring._module(rs, mu)[2]
-        selector = repring._off_walls(masks, shifted, len(wm))
-        direct = [all(map(add, shifted, nu)) for nu in wm]
+        selector = repring._off_walls(masks, pairings, len(wm))
+        shifted_weights = [tuple(map(add, shifted, nu)) for nu in wm]
+        off_simple = [0 not in v for v in shifted_weights]
+        direct = [
+            s and all(sum(map(mul, k, v)) for k in coroots)
+            for s, v in zip(off_simple, shifted_weights)
+        ]
         assert list(selector) == direct
+        only_higher = sum(off_simple) - sum(direct)
         walls += direct.count(False)
-        if max(shifted) > 255:
+        height_two += only_higher
+        if max(pairings) > 255:
             past_a_byte += direct.count(False)
-    assert walls and past_a_byte
+            height_two_past_a_byte += only_higher
+    assert walls and height_two and past_a_byte and height_two_past_a_byte
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "G2", "F4", "D4", "A2xB2"])
+def test_bonds_are_the_height_two_roots(name):
+    rs = build_root_system(parse_cartan_type(name))
+    rank = rs.rank
+    m = rs.cartan_matrix
+    edges = {(i, j) for i in range(rank) for j in range(i + 1, rank) if m[i][j]}
+    bonds = repring._bonds(rs)
+    assert len(bonds) == len(edges)
+    assert {(i, j) for i, j, _, _ in bonds} == edges
+    coroots = {p.simple_coords: p.coroot for p in rs.positive_root_data}
+    for i, j, ki, kj in bonds:
+        k = coroots[tuple(int(n in (i, j)) for n in range(rank))]
+        assert (ki, kj) == (k[i], k[j]) and sum(k) == ki + kj
+    # a short root alpha_i + alpha_j beside a long simple root alpha_i has
+    # coroot (norm_i / norm) alpha_i^vee + alpha_j^vee
+    expected = {
+        "B3": {(0, 1, 1, 1), (1, 2, 2, 1)},
+        "C3": {(0, 1, 1, 1), (1, 2, 1, 2)},
+        "G2": {(0, 1, 1, 3)},
+        "F4": {(0, 1, 1, 1), (1, 2, 2, 1), (2, 3, 1, 1)},
+    }
+    if name in expected:
+        assert set(bonds) == expected[name]
 
 
 def test_parity_corpus_straightens_a_weight_onto_a_wall():
-    # a shifted weight with no zero coordinate passes the decomposition's
-    # wall test, yet may be singular: then it straightens onto a wall, and
-    # only the check after straightening drops it.  The digest covers that
-    # check only if some weight of the corpus is of this kind
+    # a shifted weight off the simple walls and the walls of the height-two
+    # roots passes the decomposition's wall test, yet may be singular: then
+    # it straightens onto a wall, and only the check after straightening
+    # drops it.  The digest covers that check only if some weight of the
+    # corpus is of this kind
     def reaches_a_wall(name):
         rs = build_root_system(parse_cartan_type(name))
+        coroots = _height_two_coroots(rs)
         weights = dominant_weights_up_to(rs, 2)
         for pair in itertools.combinations_with_replacement(weights, 2):
             # the decomposition runs over the weights of the factor of
@@ -163,7 +212,9 @@ def test_parity_corpus_straightens_a_weight_onto_a_wall():
             small, big = sorted(pair, key=lambda w: (weyl_dim(rs, w), w))
             for nu in weight_multiplicities(rs, small):
                 v = tuple(b + 1 + c for b, c in zip(big, nu))
-                if 0 not in v and dominant_representative(rs, v)[2]:
+                if 0 in v or any(sum(map(mul, k, v)) == 0 for k in coroots):
+                    continue
+                if dominant_representative(rs, v)[2]:
                     return True
         return False
 
