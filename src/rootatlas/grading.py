@@ -72,12 +72,7 @@ class GradingPresentation:
 def universal_grading_group(relations, generators) -> GradingPresentation:
     """Quotient of the free abelian group on ``generators`` by
     child - left - right for every relation."""
-    gens: list[Weight] = []
-    seen = set()
-    for g in generators:
-        if g not in seen:
-            seen.add(g)
-            gens.append(g)
+    gens: list[Weight] = list(dict.fromkeys(generators))
     index = {g: i for i, g in enumerate(gens)}
     for r in relations:
         for w in (r.child, r.left, r.right):

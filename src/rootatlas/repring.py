@@ -39,26 +39,25 @@ and every call returns a fresh dict, so a caller may change what it gets:
 - ``_bonds``: per root system, the roots alpha_i + alpha_j of height two,
   one per bond of the Dynkin diagram, as (i, j, k_i, k_j) with coroot
   k_i alpha_i^vee + k_j alpha_j^vee;
-- ``_orbit_walls``: wall masks of one orbit, keyed by (root system,
-  dominant weight).  Its wall columns are the rank coordinates nu_i, then
-  k_i nu_i + k_j nu_j for each of the ``_bonds``; for each column and each
-  value -c it takes at or below minus the least pairing a shifted weight
-  can have there (1, or k_i + k_j), an int whose bit k is set when point k
-  of the ``_orbit`` frozenset, in its iteration order, has -c there;
+- ``_orbit_walls``: the size and the wall masks of one orbit, keyed by
+  (root system, dominant weight).  Its wall columns are the rank
+  coordinates nu_i, then k_i nu_i + k_j nu_j for each of the ``_bonds``;
+  for each column and each value -c it takes at or below minus the least
+  pairing a shifted weight can have there (1, or k_i + k_j), an int whose
+  bit k is set when point k of the ``_orbit`` frozenset, in its iteration
+  order, has -c there;
 - ``_module``: the module V(lam), keyed by (root system, highest weight).
   It holds the weights and the multiplicities of ``weight_multiplicities``
   as two tuples, so only the first decomposition with V(lam) as its
-  smaller factor builds that dict, and it holds wall masks over the whole
-  module, column by column: the ``_orbit_walls`` masks of each orbit,
-  shifted by the sizes of the orbits before it.  The multiset lists the
-  dominant weights in ``_dominant_table`` order, each followed by its
-  cached orbit in iteration order, so bit k of a mask is item k of
-  ``weight_multiplicities``.  For a weight nu of V(mu), lam + rho + nu
-  pairs to zero with alpha^vee exactly when the column of alpha is minus
-  the pairing of lam + rho with alpha^vee, so a decomposition finds the
-  weights it drops in one OR per column.  The masks hold only for the
-  cached frozensets: clear ``_orbit_walls`` and ``_module`` with
-  ``_orbit``.
+  smaller factor builds that dict, and the ``_orbit_walls`` entries of its
+  dominant weights in ``_dominant_table`` order.  The multiset lists each
+  dominant weight's cached orbit in iteration order, so bit k of orbit j's
+  mask is item (sizes of the orbits before j) + k.  For a weight nu of
+  V(mu), lam + rho + nu pairs to zero with alpha^vee exactly when the
+  column of alpha is minus the pairing of lam + rho with alpha^vee, so a
+  decomposition finds the weights it drops in one OR per column and orbit.
+  The masks hold only for the cached frozensets: clear ``_orbit_walls``
+  and ``_module`` with ``_orbit``.
 
 Why height two: a shifted weight that one simple reflection s_i takes onto
 the wall of a neighbouring alpha_j lay on the wall of s_i alpha_j, which is
@@ -74,6 +73,7 @@ cache, ``_intern``, returns the first tuple it was given for each value.
 from __future__ import annotations
 
 import functools
+from functools import reduce
 from itertools import compress, repeat
 from operator import add, mul, or_, sub
 
@@ -237,6 +237,8 @@ def _orbit(rs: RootSystem, mu: Weight) -> frozenset[Weight]:
 _TO_BINARY = bytes.maketrans(b"\x00\x01", b"01")
 # binary digits, lowest bit first, as the selector of the bits left clear
 _CLEAR = bytes.maketrans(b"01", b"\x01\x00")
+# an orbit's size and its wall masks, one dict per wall column
+_OrbitWalls = tuple[int, tuple[dict[int, int], ...]]
 
 
 @functools.cache
@@ -253,15 +255,16 @@ def _bonds(rs: RootSystem) -> tuple[tuple[int, int, int, int], ...]:
 
 
 @functools.cache
-def _orbit_walls(rs: RootSystem, mu: Weight) -> tuple[dict[int, int], ...]:
-    """Per wall column of ``_orbit(rs, mu)``, the map from each c with -c
-    among the column's values to the bitmask of the positions, in the
-    orbit's iteration order, where the column is -c.  The columns are the
-    rank coordinates nu_i, then k_i nu_i + k_j nu_j per item of ``_bonds``.
-    A shifted weight pairs to at least 1 with a simple coroot and to at
-    least k_i + k_j with the coroot of alpha_i + alpha_j, so only the
-    values -c at or below these are kept."""
-    cols = list(zip(*_orbit(rs, mu)))
+def _orbit_walls(rs: RootSystem, mu: Weight) -> _OrbitWalls:
+    """The size of ``_orbit(rs, mu)`` and, per wall column, the map from
+    each c with -c among the column's values to the bitmask of the
+    positions, in the orbit's iteration order, where the column is -c.  The
+    columns are the rank coordinates nu_i, then k_i nu_i + k_j nu_j per item
+    of ``_bonds``.  A shifted weight pairs to at least 1 with a simple
+    coroot and to at least k_i + k_j with the coroot of alpha_i + alpha_j,
+    so only the values -c at or below these are kept."""
+    orbit = _orbit(rs, mu)
+    cols = list(zip(*orbit))
     floors = [1] * rs.rank
     for i, j, ki, kj in _bonds(rs):
         cols.append(
@@ -283,39 +286,33 @@ def _orbit_walls(rs: RootSystem, mu: Weight) -> tuple[dict[int, int], ...]:
         walls.append(
             {-c: int(b.translate(_TO_BINARY)[::-1], 2) for c, b in flags.items()}
         )
-    return tuple(walls)
+    return len(orbit), tuple(walls)
 
 
 @functools.cache
 def _module(
     rs: RootSystem, lam: Weight
-) -> tuple[tuple[Weight, ...], tuple[int, ...], tuple[dict[int, int], ...]]:
+) -> tuple[tuple[Weight, ...], tuple[int, ...], tuple[_OrbitWalls, ...]]:
     """The weights of V(lam) and their multiplicities, as two tuples in the
-    item order of ``weight_multiplicities``, with the masks of
-    ``_orbit_walls`` over all of them: each orbit's masks shifted past the
-    orbits before it in table order, so that bit k stands for item k."""
+    item order of ``weight_multiplicities``, with the cached
+    ``_orbit_walls`` entry of each dominant weight in table order."""
     wm = weight_multiplicities(rs, lam)
-    walls: list[dict[int, int]] = [{} for _ in range(rs.rank + len(_bonds(rs)))]
-    offset = 0
-    for mu in _dominant_table(rs, lam):
-        for out, masks in zip(walls, _orbit_walls(rs, mu)):
-            for c, bits in masks.items():
-                out[c] = out.get(c, 0) | bits << offset
-        offset += len(_orbit(rs, mu))
-    return tuple(wm), tuple(wm.values()), tuple(walls)
+    orbits = tuple(_orbit_walls(rs, mu) for mu in _dominant_table(rs, lam))
+    return tuple(wm), tuple(wm.values()), orbits
 
 
-def _off_walls(
-    walls: tuple[dict[int, int], ...], pairings: list[int], size: int
-) -> bytes:
-    """One byte per item nu of the ``size`` items whose wall masks are
-    ``walls``: 1 when no wall column of nu is minus the matching entry of
-    ``pairings``, else 0.
+def _off_walls(orbits: tuple[_OrbitWalls, ...], pairings: list[int]) -> bytes:
+    """One byte per item nu of a module whose orbits' sizes and wall masks
+    are ``orbits``: 1 when no wall column of nu is minus the matching entry
+    of ``pairings``, else 0.
 
     With ``pairings`` the coroot pairings of a shifted weight, column by
-    column, the wall items are the OR over the columns of one cached mask
-    each."""
-    wall = functools.reduce(or_, map(dict.get, walls, pairings, repeat(0)), 0)
+    column, an orbit's wall items are the OR over the columns of one cached
+    mask each, shifted past the orbits before it."""
+    wall = size = 0
+    for n, walls in orbits:
+        wall |= reduce(or_, map(dict.get, walls, pairings, repeat(0)), 0) << size
+        size += n
     return format(wall, f"0{size}b")[::-1].encode().translate(_CLEAR)
 
 
@@ -349,16 +346,14 @@ def _decomposition(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
     pairings = shifted + [
         ki * shifted[i] + kj * shifted[j] for i, j, ki, kj in _bonds(rs)
     ]
-    keys, mults, walls = _module(rs, mu)
+    keys, mults, orbits = _module(rs, mu)
     acc: dict[Weight, int] = {}
     # a weight nu such that lam + rho + nu pairs to zero with a simple
     # coroot or the coroot of a root of height two lies on a wall: the
     # reflection in that root fixes it, so it is singular and contributes
     # nothing.  The cached masks of V(mu) mark these items for this lam,
     # and compress skips them without running any bytecode for them
-    for nu, mult in compress(
-        zip(keys, mults), _off_walls(walls, pairings, len(keys))
-    ):
+    for nu, mult in compress(zip(keys, mults), _off_walls(orbits, pairings)):
         v, sign = _straighten(cols, map(add, shifted, nu))
         # a weight off these walls may still lie on a higher root's wall;
         # reflections keep it singular, so it straightens onto a simple one

@@ -153,8 +153,7 @@ def test_wall_selector_matches_the_direct_wall_test():
         coroots = _height_two_coroots(rs)
         pairings = shifted + [sum(map(mul, k, shifted)) for k in coroots]
         wm = weight_multiplicities(rs, mu)
-        masks = repring._module(rs, mu)[2]
-        selector = repring._off_walls(masks, pairings, len(wm))
+        selector = repring._off_walls(repring._module(rs, mu)[2], pairings)
         shifted_weights = [tuple(map(add, shifted, nu)) for nu in wm]
         off_simple = [0 not in v for v in shifted_weights]
         direct = [
@@ -542,6 +541,11 @@ def test_repeated_calls_hit_the_caches(monkeypatch):
     assert repring._orbit_walls.cache_info().misses == masks[0].misses
     assert repring._module.cache_info().misses == masks[1].misses
     assert repring._module.cache_info().hits == masks[1].hits + 1
+    # the module holds the cached orbit masks themselves, in table order
+    held = repring._module(rs, mu)[2]
+    table = repring._dominant_table(rs, mu)
+    assert len(held) == len(table)
+    assert all(h is repring._orbit_walls(rs, m) for h, m in zip(held, table))
 
     orbits.clear()
     weights = list(weight_multiplicities(rs, (2, 0, 0)).items())
