@@ -190,6 +190,9 @@ def hermite_basis(rows, k: int) -> Matrix:
     ``rows`` in Z^k: positive pivots on the diagonal, entries above each
     pivot reduced to [0, pivot)."""
     work = [list(r) for r in rows]
+    for r in work:
+        if len(r) != k:
+            raise ValueError(f"row {tuple(r)} has length {len(r)}, expected {k}")
     basis = []
     for col in range(k):
         pool = [r for r in work if r[col] != 0]
@@ -326,9 +329,6 @@ def subgroup_from_generators(group: FiniteAbelianGroup, gens) -> Subgroup:
     """The subgroup generated by the given element coordinate vectors."""
     k = len(group.invariant_factors)
     rows = [*gens, *_relation_rows(group)]
-    for g in rows:
-        if len(g) != k:
-            raise ValueError(f"generator {g} has length {len(g)}, expected {k}")
     return _subgroup_from_basis(group, hermite_basis(rows, k))
 
 

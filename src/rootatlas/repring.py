@@ -20,7 +20,7 @@ Weyl-invariant, so the roots of one of their orbits, each taken up to
 sign, have equal string sums through mu: one string per class, times the
 class size, gives the same exact sum.
 
-Eight ``functools.cache`` helpers keep work that repeats across calls,
+Seven ``functools.cache`` helpers keep work that repeats across calls,
 and every call returns a fresh dict, so a caller may change what it gets:
 
 - ``_dominant_table``: dominant multiplicities, keyed by (root system,
@@ -29,11 +29,9 @@ and every call returns a fresh dict, so a caller may change what it gets:
   system, dominant weight), as the frozenset ``weyl_orbit`` returns: a
   weight multiset is built from it in C with the hashes it already holds,
   and its iteration order fixes the item order of the multiset;
-- ``_decomposition``: decompositions, keyed by (root system, smaller
-  weight, larger weight), so both argument orders share an entry and a hit
-  computes no Weyl dimension;
-- ``_weyl_dim``: Weyl dimensions, keyed by (root system, highest weight),
-  so the two that order each new decomposition are computed once;
+- ``_weyl_dim``: Weyl dimensions, keyed by (root system, highest weight);
+  each decomposition reads its two factors' dimensions there to pick the
+  smaller factor;
 - ``_root_classes``: the classes of positive roots that the recursion sums
   over, keyed by (root system, zero coordinates of the weight);
 - ``_bonds``: per root system, the roots alpha_i + alpha_j of height two,
@@ -66,8 +64,9 @@ from dominant are most of the singular ones a product straightens, so
 these walls catch nearly all of them, and a column per higher root costs
 more than the straightenings it saves.
 
-The highest weights in cached decompositions are shared tuples: a ninth
-cache, ``_intern``, returns the first tuple it was given for each value.
+An eighth cache, ``_intern``, returns the first tuple it was given for each
+value, so the relations and word constituents that callers keep share one
+tuple per highest weight.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """dim V(lam) as the product over positive roots of the shifted-to-plain
     coroot pairing ratio of lam + rho against rho."""
     _require_dominant(rs, lam)
-    return _weyl_dim(rs, tuple(lam))
+    return _weyl_dim(rs, lam)
 
 
 @functools.cache
@@ -316,8 +315,8 @@ def _off_walls(orbits: tuple[_OrbitWalls, ...], pairings: list[int]) -> bytes:
     return format(wall, f"0{size}b")[::-1].encode().translate(_CLEAR)
 
 
-# one shared tuple per highest weight, the first one seen, so that cached
-# decompositions do not each hold their own copy
+# one shared tuple per highest weight, the first one seen, so that the
+# results kept by callers do not each hold their own copy
 @functools.cache
 def _intern(w: Weight) -> Weight:
     return w
@@ -333,12 +332,7 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
     """
     _require_dominant(rs, lam)
     _require_dominant(rs, mu)
-    return dict(_decomposition(rs, min(lam, mu), max(lam, mu)))
-
-
-@functools.cache
-def _decomposition(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
-    if (weyl_dim(rs, mu), mu) > (weyl_dim(rs, lam), lam):
+    if (_weyl_dim(rs, mu), mu) > (_weyl_dim(rs, lam), lam):
         lam, mu = mu, lam
 
     cols = rs.reflection_cols

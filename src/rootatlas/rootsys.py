@@ -311,6 +311,9 @@ _INT_ONLY = frozenset({int})
 
 
 def _check_weight(rs: RootSystem, w: Weight) -> None:
+    # the caches hash weights and order them as tuples, which a list cannot be
+    if type(w) is not tuple:
+        raise ValueError(f"weight {w!r} is not a tuple")
     if len(w) != rs.rank:
         raise ValueError(f"weight {w} has length {len(w)}, expected {rs.rank}")
     # the caches key weights by value, and 1.0 == True == 1: a float or bool

@@ -24,6 +24,7 @@ from rootatlas.lattice import (
     enumerate_subgroups,
     fundamental_group,
     full_subgroup,
+    hermite_basis,
     irreducible_components,
     isogeny_order,
     simply_connected_diagram,
@@ -537,6 +538,11 @@ def test_d4_middle_subgroups_incomparable():
 def test_subgroup_generator_length_checked():
     with pytest.raises(ValueError):
         subgroup_from_generators(FiniteAbelianGroup((2, 2)), [(1,)])
+    # both public entry points refuse a row of the wrong length, short or long
+    with pytest.raises(ValueError, match="has length 1, expected 2"):
+        hermite_basis([(1,), (0, 1)], 2)
+    with pytest.raises(ValueError, match="has length 3, expected 2"):
+        hermite_basis([(1, 0, 5), (0, 1, 7)], 2)
 
 
 def test_diagrams_returns_fresh_lists():

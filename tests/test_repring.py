@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootatlas import repring
-from rootatlas.grading import tensor_equivalent
-from rootatlas.lattice import weight_class_data
+from rootatlas.grading import grading_class, tensor_equivalent
+from rootatlas.lattice import diagrams, weight_class_data, weight_in_lattice
 from rootatlas.repring import (
     clebsch_gordan_sl2,
     dominant_weight_multiplicities,
@@ -45,7 +45,6 @@ def _cold_caches():
     for helper in (
         repring._dominant_table,
         repring._orbit,
-        repring._decomposition,
         repring._intern,
         repring._weyl_dim,
         repring._root_classes,
@@ -388,6 +387,29 @@ def test_non_int_coordinates_are_refused(name, bad):
     assert {type(c) for c in _numbers(tensor_decompose(rs, (1, 1), (1, 0)))} == {int}
 
 
+_TUPLE_CALLS = {
+    **_WEIGHT_CALLS,
+    "dominant_representative": dominant_representative,
+    "simple_reflection": lambda rs, w: simple_reflection(rs, 1, w),
+    "grading_class": grading_class,
+    "weight_in_lattice": lambda rs, w: weight_in_lattice(
+        rs, w, diagrams(rs.cartan_type)[0]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TUPLE_CALLS))
+def test_list_weights_are_refused(name):
+    # the caches hash weights and order them against tuples: a list is
+    # refused at the door, whichever call it reaches, not deep inside
+    rs = _SYSTEMS["A2"]
+    call = _TUPLE_CALLS[name]
+    _cold_caches()
+    with pytest.raises(ValueError, match="not a tuple"):
+        call(rs, [1, 0])
+    assert list(_numbers(call(rs, (1, 0))))
+
+
 def test_weyl_dim_matches_freudenthal_mass():
     # two independent routes to the dimension must agree, on the first
     # call and on the second, which reads the cached orbits
@@ -521,16 +543,22 @@ def test_repeated_calls_hit_the_caches(monkeypatch):
     rs = _SYSTEMS["B3"]
     lam, mu = (1, 0, 1), (0, 1, 0)
     _cold_caches()
-    dims = _count_calls(monkeypatch, repring, "weyl_dim")
     multisets = _count_calls(monkeypatch, repring, "weight_multiplicities")
     orbits = _count_calls(monkeypatch, repring, "weyl_orbit")
     first = list(tensor_decompose(rs, lam, mu).items())
-    assert dims and multisets and orbits
-    dims.clear()
+    assert multisets and orbits
     multisets.clear()
+    orbits.clear()
+    # a repeat, in either argument order, builds no multiset, orbit or mask
+    # and computes no Weyl dimension: it reads them all from the caches
+    dims = repring._weyl_dim.cache_info()
+    masks = repring._orbit_walls.cache_info(), repring._module.cache_info()
     for a, b in [(lam, mu), (mu, lam), (lam, mu)]:
         assert list(tensor_decompose(rs, a, b).items()) == first
-    assert dims == [] and multisets == []
+    assert multisets == [] and orbits == []
+    assert repring._weyl_dim.cache_info().misses == dims.misses
+    assert repring._orbit_walls.cache_info().misses == masks[0].misses
+    assert repring._module.cache_info().misses == masks[1].misses
 
     # a second product with the same smaller factor builds no new multiset
     # and no new masks: it is one hit on the cached module
@@ -593,9 +621,9 @@ def test_rebuilt_root_system_hits_the_same_entries():
     first = list(tensor_decompose(rs, (1, 0, 1), (0, 1, 0)).items())
     rebuilt = build_root_system.__wrapped__(rs.cartan_type)
     assert rebuilt is not rs and rebuilt == rs and hash(rebuilt) == hash(rs)
-    before = repring._decomposition.cache_info()
+    before = repring._module.cache_info()
     assert list(tensor_decompose(rebuilt, (1, 0, 1), (0, 1, 0)).items()) == first
-    after = repring._decomposition.cache_info()
+    after = repring._module.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
 
