@@ -4,14 +4,18 @@ Dominant weights generate a free abelian group subject to one relation per
 tensor constituent: a constituent is declared congruent to the sum of the
 two factors.  The finite quotient this presents is compared against the
 weight-class group, and pairs of weights can be certified equivalent by
-exhibiting a tensor word containing both.
+exhibiting a tensor word containing both.  The word search builds its
+letters and their classes in P/Q once per (root system, bound), in the
+``_letters`` cache keyed by that pair.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import neg
 
 from .lattice import FiniteAbelianGroup, cokernel, weight_class_data
 from .repring import dominant_weights_up_to, tensor_decompose
@@ -74,18 +78,21 @@ def universal_grading_group(relations, generators) -> GradingPresentation:
     child - left - right for every relation."""
     gens: list[Weight] = list(dict.fromkeys(generators))
     index = {g: i for i, g in enumerate(gens)}
-    for r in relations:
-        for w in (r.child, r.left, r.right):
-            if w not in index:
-                raise ValueError(f"relation weight {w} is not a generator")
 
     # columns of the relation matrix span the subgroup being quotiented
     width = len(gens)
     matrix = [[0] * len(relations) for _ in range(width)]
     for j, r in enumerate(relations):
-        matrix[index[r.child]][j] += 1
-        matrix[index[r.left]][j] -= 1
-        matrix[index[r.right]][j] -= 1
+        ends = (r.child, r.left, r.right)
+        rows = tuple(map(index.get, ends))
+        if None in rows:
+            raise ValueError(
+                f"relation weight {ends[rows.index(None)]} is not a generator"
+            )
+        child, left, right = rows
+        matrix[child][j] += 1
+        matrix[left][j] -= 1
+        matrix[right][j] -= 1
 
     factors, free_rank, torsion_rows, free_rows = cokernel(matrix, width)
     quotient = FiniteAbelianGroup(factors)
@@ -159,6 +166,22 @@ def _word_constituents(rs: RootSystem, word: tuple) -> frozenset[Weight]:
     return frozenset(out)
 
 
+@functools.cache
+def _letters(
+    rs: RootSystem, bound: int
+) -> tuple[dict[Weight, tuple[int, ...]], dict[tuple[int, ...], list[Weight]]]:
+    """The letters of a word search, ``dominant_weights_up_to(rs, bound)``
+    in its lexicographic order: each mapped to minus its class in P/Q (the
+    class of its negative), and the letters of each class."""
+    class_of = weight_class_data(rs.cartan_type).class_of
+    letters = dominant_weights_up_to(rs, bound)
+    minus = {w: class_of(tuple(map(neg, w))) for w in letters}
+    by_class: dict[tuple[int, ...], list[Weight]] = {}
+    for w in letters:
+        by_class.setdefault(class_of(w), []).append(w)
+    return minus, by_class
+
+
 def tensor_equivalent(
     rs: RootSystem,
     a: Weight,
@@ -176,9 +199,14 @@ def tensor_equivalent(
     Every constituent of a word lies in the class of P/Q that sums its
     letters' classes, so a pair in different classes returns None at once
     and a word whose letters sum to another class is never decomposed.
+    The letters and their classes are built once per (root system, bound)
+    and kept in the ``_letters`` cache; ``bound`` and ``depth`` must be
+    ints, since the cache keys by value and 2.0 == 2.
     """
     for w in (a, b):
         _require_dominant(rs, w)
+    if type(bound) is not int or type(depth) is not int:
+        raise ValueError(f"bound {bound!r} and depth {depth!r} must be ints")
     if depth < 1 or bound < 0:
         raise ValueError("depth must be >= 1 and bound >= 0")
     if a == b:
@@ -187,14 +215,19 @@ def tensor_equivalent(
     target = data.class_of(a)
     if data.class_of(b) != target:
         return None
-    factors = dominant_weights_up_to(rs, bound)
-    class_of = {f: data.class_of(f) for f in factors}
+    minus, by_class = _letters(rs, bound)
     add = data.group.add
     for length in range(2, depth + 1):
-        for word in itertools.combinations_with_replacement(factors, length):
-            if functools.reduce(add, map(class_of.__getitem__, word)) != target:
-                continue
-            constituents = _word_constituents(rs, word)
-            if a in constituents and b in constituents:
-                return word
+        # each prefix's classes are subtracted from the target once; its
+        # words end in the letters of the class left over, from the
+        # prefix's last letter on, in the order combinations_with_replacement
+        # gives the words of this length
+        for prefix in itertools.combinations_with_replacement(minus, length - 1):
+            need = functools.reduce(add, map(minus.__getitem__, prefix), target)
+            lasts = by_class.get(need, ())
+            for last in lasts[bisect_left(lasts, prefix[-1]):]:
+                word = prefix + (last,)
+                constituents = _word_constituents(rs, word)
+                if a in constituents and b in constituents:
+                    return word
     return None

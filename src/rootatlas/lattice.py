@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from math import prod
 
@@ -124,12 +125,18 @@ class FiniteAbelianGroup:
         return itertools.product(*(range(d) for d in self.invariant_factors))
 
     def reduce(self, vec) -> tuple[int, ...]:
-        return tuple(v % d for v, d in zip(vec, self.invariant_factors))
+        factors = self.invariant_factors
+        if len(vec) != len(factors):
+            raise ValueError(f"element {tuple(vec)} does not match the factors {factors}")
+        return tuple(map(operator.mod, vec, factors))
 
     def add(self, x, y) -> tuple[int, ...]:
-        return tuple(
-            (a + b) % d for a, b, d in zip(x, y, self.invariant_factors)
-        )
+        # map stops at its shortest input, so a short element would give a
+        # short sum
+        factors = self.invariant_factors
+        if len(x) != len(factors) or len(y) != len(factors):
+            raise ValueError(f"elements {x} and {y} do not match the factors {factors}")
+        return tuple(map(operator.mod, map(operator.add, x, y), factors))
 
 
 def cokernel(m, width: int) -> tuple[tuple[int, ...], int, Matrix, Matrix]:
@@ -160,16 +167,22 @@ def cokernel(m, width: int) -> tuple[tuple[int, ...], int, Matrix, Matrix]:
 @dataclass(frozen=True)
 class WeightClassData:
     """The quotient of the weight lattice by the root lattice, with the
-    projection taking fundamental-weight coordinates to quotient coordinates."""
+    projection taking fundamental-weight coordinates, ``rank`` of them, to
+    quotient coordinates."""
 
     group: FiniteAbelianGroup
     torsion_rows: Matrix
+    rank: int
 
     def class_of(self, w: Weight) -> tuple[int, ...]:
-        return tuple(
-            sum(r * c for r, c in zip(row, w)) % d
-            for row, d in zip(self.torsion_rows, self.group.invariant_factors)
+        if len(w) != self.rank:
+            raise ValueError(f"weight {w} has length {len(w)}, expected {self.rank}")
+        # sum(map(mul, row, w)) % d for each row and its factor d, in C
+        products = map(
+            map, itertools.repeat(operator.mul), self.torsion_rows, itertools.repeat(w)
         )
+        sums = map(sum, products)
+        return tuple(map(operator.mod, sums, self.group.invariant_factors))
 
 
 @functools.cache
@@ -177,7 +190,7 @@ def weight_class_data(t: CartanType) -> WeightClassData:
     factors, free, torsion_rows, _ = cokernel(cartan_matrix(t), t.rank)
     if free:
         raise AssertionError("Cartan matrix must be nonsingular")
-    return WeightClassData(FiniteAbelianGroup(factors), torsion_rows)
+    return WeightClassData(FiniteAbelianGroup(factors), torsion_rows, t.rank)
 
 
 def fundamental_group(t: CartanType) -> FiniteAbelianGroup:

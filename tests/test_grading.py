@@ -79,6 +79,15 @@ def test_universal_grading_no_relations_is_free():
 def test_universal_grading_rejects_unknown_weights():
     with pytest.raises(ValueError):
         universal_grading_group([TensorRelation((4,), (2,), (2,))], [(2,)])
+    # the first weight outside the generators is named, relation by relation
+    # and child, left, right within one
+    relations = [
+        TensorRelation((0,), (2,), (2,)),
+        TensorRelation((2,), (3,), (5,)),
+        TensorRelation((4,), (0,), (0,)),
+    ]
+    with pytest.raises(ValueError, match=r"relation weight \(3,\) is not a generator"):
+        universal_grading_group(relations, [(0,), (2,)])
 
 
 def test_universal_grading_deduplicates_generators():
@@ -297,6 +306,24 @@ def test_different_classes_decompose_nothing(monkeypatch):
     assert grading._word_constituents.cache_info().currsize == 0
 
 
+def test_repeated_search_builds_no_letters(monkeypatch):
+    rs = _SYSTEMS["A3"]
+    grading._letters.cache_clear()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return dominant_weights_up_to(*args)
+
+    monkeypatch.setattr(grading, "dominant_weights_up_to", counted)
+    assert tensor_equivalent(rs, (2, 0, 0), (0, 1, 0), bound=2) is not None
+    assert calls == [(rs, 2)]
+    calls.clear()
+    # another pair, of class 1 of Z/4 rather than 2, on the same (type, bound)
+    assert tensor_equivalent(rs, (1, 0, 0), (0, 0, 3), bound=2) is not None
+    assert calls == []
+
+
 def test_search_decomposes_only_words_of_the_first_class(monkeypatch):
     rs = _SYSTEMS["A3"]
     data = weight_class_data(rs.cartan_type)
@@ -314,14 +341,22 @@ def test_search_decomposes_only_words_of_the_first_class(monkeypatch):
             nesting[0] -= 1
 
     monkeypatch.setattr(grading, "_word_constituents", outermost)
-    # one class of Z/4, but no product of two letters of sum <= 1 holds (3, 0, 0)
-    assert tensor_equivalent(rs, (3, 0, 0), (0, 0, 1), bound=1, depth=2) is None
-    assert words
-    for word in words:
-        total = (0,)
-        for letter in word:
-            total = data.group.add(total, data.class_of(letter))
-        assert total == data.class_of((3, 0, 0))
+    # one class of Z/4, but no product of two letters of sum <= 1 holds
+    # (3, 0, 0), nor one of three letters (4, 0, 0): both searches run to the
+    # end, through every word of the class in combinations_with_replacement
+    # order, shorter words first
+    letters = dominant_weights_up_to(rs, 1)
+    for a, b, depth in [((3, 0, 0), (0, 0, 1), 2), ((4, 0, 0), (0, 0, 0), 3)]:
+        words.clear()
+        assert tensor_equivalent(rs, a, b, bound=1, depth=depth) is None
+        target = data.class_of(a)[0]
+        expected = [
+            word
+            for length in range(2, depth + 1)
+            for word in itertools.combinations_with_replacement(letters, length)
+            if sum(data.class_of(letter)[0] for letter in word) % 4 == target
+        ]
+        assert words == expected and words
 
 
 # (type, bound, depth, pairs): G2 has a trivial class group, A1xA1 is
@@ -378,7 +413,16 @@ def test_tensor_equivalent_validates_input():
         ((1, 0), (0, 1, 0), {}),
         ((1, 0, 0), (0, 1, 0), {"depth": 0}),
         ((1, 0, 0), (0, 1, 0), {"bound": -1}),
+        ((1, 0, 0), (0, 1, 0), {"bound": 2.0}),
+        ((1, 0, 0), (1, 0, 0), {"bound": 2.0}),
     ]:
+        with pytest.raises(ValueError):
+            tensor_equivalent(a3, a, b, **kwargs)
+    # the letters are cached by (type, bound) and 2.0 == 2 == True + 1, so a
+    # float or bool must be refused before it can read the int's entry
+    a, b = (2, 0, 0), (0, 1, 0)
+    assert tensor_equivalent(a3, a, b, bound=2) is not None
+    for kwargs in [{"bound": 2.0}, {"bound": True}, {"depth": 3.0}, {"depth": True}]:
         with pytest.raises(ValueError):
             tensor_equivalent(a3, a, b, **kwargs)
 

@@ -491,6 +491,49 @@ def test_weight_class_additivity():
             assert data.class_of(s) == group.add(data.class_of(v), data.class_of(w))
 
 
+@pytest.mark.parametrize(
+    "name, factors",
+    [
+        ("G2", ()),
+        ("A1", (2,)),
+        ("A2", (3,)),
+        ("A3", (4,)),
+        ("D4", (2, 2)),
+        ("A1xA3", (2, 4)),
+    ],
+)
+def test_class_arithmetic_is_modular(name, factors):
+    t = parse_cartan_type(name)
+    data = weight_class_data(t)
+    group = data.group
+    assert group.invariant_factors == factors
+    rng = random.Random(20)
+    for _ in range(50):
+        x, y = ([rng.randint(-9, 9) for _ in factors] for _ in range(2))
+        assert group.reduce(x) == tuple(v % d for v, d in zip(x, factors))
+        assert group.add(x, y) == tuple((a + b) % d for a, b, d in zip(x, y, factors))
+        w = tuple(rng.randint(-9, 9) for _ in range(t.rank))
+        assert data.class_of(w) == tuple(
+            sum(r * c for r, c in zip(row, w)) % d
+            for row, d in zip(data.torsion_rows, factors)
+        )
+
+
+def test_class_arithmetic_refuses_wrong_lengths():
+    # zip would cut the longer vector to the shorter one's length
+    group = FiniteAbelianGroup((2, 4))
+    for call in [
+        lambda: group.add((1,), (1, 3)),
+        lambda: group.add((1, 3), (1, 3, 0)),
+        lambda: group.reduce((1,)),
+        lambda: FiniteAbelianGroup(()).add((), (1,)),
+        lambda: weight_class_data(parse_cartan_type("A2")).class_of((1,)),
+        lambda: weight_class_data(parse_cartan_type("G2")).class_of((1, 0, 0)),
+    ]:
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_irreducible_components():
     blocks = irreducible_components(parse_cartan_type("B2xG2"))
     assert [(str(b.cartan_type), b.start, b.stop) for b in blocks] == [
