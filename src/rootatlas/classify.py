@@ -9,8 +9,10 @@ for byte across runs with equal parameters.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import repeat
+from functools import reduce
+from operator import and_
 
 from .grading import (
     GradingPresentation,
@@ -92,44 +94,41 @@ def label_diagram(d: Diagram, cap: int = DEFAULT_ENUMERATION_CAP) -> str:
     return f"{prefix} intermediate#{k}"
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def hasse_edges(ds: list[Diagram]) -> tuple[tuple[int, int], ...]:
-    """Cover relations of the isogeny order, from larger lattice to smaller, at the
-    cost of one pass over the elements of each subgroup and a bitmask test for
-    each pair whose subgroup orders divide."""
+    """Cover relations of the isogeny order, from larger lattice to smaller, at
+    the cost of one pass over the elements of each subgroup, one AND per
+    generator and one mask test per comparable pair."""
     if len({d.cartan_type for d in ds}) > 1:
         raise ValueError("diagrams of different Cartan types are incomparable")
-    # each distinct generator gets one bit, so that a set of them is an int
-    bits: dict[tuple[int, ...], int] = {}
-    for d in ds:
-        for g in d.subgroup.generators:
-            bits.setdefault(g, 1 << len(bits))
-    need = [sum(bits[g] for g in d.subgroup.generators) for d in ds]
-    held = [sum(map(bits.get, d.subgroup.elements(), repeat(0))) for d in ds]
-    # by Lagrange, ds[j] lies below ds[i] only when its order divides that of ds[i]
-    orders = [d.subgroup.order for d in ds]
-    by_order: dict[int, list[int]] = {}
-    for j, order in enumerate(orders):
-        by_order.setdefault(order, []).append(j)
-    idx = range(len(ds))
-    below = [
-        sorted(
-            j
-            for order, js in by_order.items()
-            if orders[i] % order == 0
-            for j in js
-            if j != i and need[j] & held[i] == need[j]
-        )
-        for i in idx
+    # for each element of P/Q, the diagrams whose subgroup holds it
+    holders: dict[tuple[int, ...], int] = {}
+    for i, d in enumerate(ds):
+        for g in d.subgroup.elements():
+            holders[g] = holders.get(g, 0) | 1 << i
+    # starting from every diagram puts the trivial subgroup below them all
+    everything = (1 << len(ds)) - 1
+    above = [
+        reduce(and_, map(holders.__getitem__, d.subgroup.generators), everything)
+        & ~(1 << j)
+        for j, d in enumerate(ds)
     ]
-    # the sets below[i] and above[j] as int masks over diagram indices
-    below_mask = [0] * len(ds)
-    above_mask = [0] * len(ds)
-    for i in idx:
-        for j in below[i]:
-            below_mask[i] |= 1 << j
-            above_mask[j] |= 1 << i
+    below = [0] * len(ds)
+    for j, mask in enumerate(above):
+        for i in _bits(mask):
+            below[i] |= 1 << j
     return tuple(
-        (i, j) for i in idx for j in below[i] if not below_mask[i] & above_mask[j]
+        (i, j)
+        for i, mask in enumerate(below)
+        for j in _bits(mask)
+        if not mask & above[j]
     )
 
 

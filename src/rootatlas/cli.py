@@ -71,9 +71,16 @@ def _emit(payload: dict) -> int:
     return 0
 
 
+def _typed(type_text: str, *weight_texts: str) -> tuple:
+    """The Cartan type, its root system and the weights, each checked
+    against the rank first: a bad weight on A400 is refused at once."""
+    t = parse_cartan_type(type_text)
+    weights = [parse_weight(w, t.rank) for w in weight_texts]
+    return t, build_root_system(t), *weights
+
+
 def _cmd_roots(args) -> int:
-    t = parse_cartan_type(args.type)
-    rs = build_root_system(t)
+    t, rs = _typed(args.type)
     if args.format == "json":
         return _emit(
             {
@@ -101,9 +108,7 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    t = parse_cartan_type(args.type)
-    rs = build_root_system(t)
-    lam = parse_weight(args.weight, rs.rank)
+    t, rs, lam = _typed(args.type, args.weight)
     table = dominant_weight_multiplicities(rs, lam)
     items = sorted_decomposition(table)
     dim = weyl_dim(rs, lam)
@@ -128,9 +133,7 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    t = parse_cartan_type(args.type)
-    rs = build_root_system(t)
-    lam = parse_weight(args.weight, rs.rank)
+    t, rs, lam = _typed(args.type, args.weight)
     dim = weyl_dim(rs, lam)
     if args.format == "json":
         return _emit({"type": str(t), "weight": list(lam), "dimension": dim})
@@ -139,10 +142,7 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_tensor(args) -> int:
-    t = parse_cartan_type(args.type)
-    rs = build_root_system(t)
-    lam = parse_weight(args.left, rs.rank)
-    mu = parse_weight(args.right, rs.rank)
+    t, rs, lam, mu = _typed(args.type, args.left, args.right)
     items = sorted_decomposition(tensor_decompose(rs, lam, mu))
     if args.format == "json":
         return _emit(
@@ -159,10 +159,8 @@ def _cmd_tensor(args) -> int:
 
 
 def _cmd_grade(args) -> int:
-    t = parse_cartan_type(args.type)
-    rs = build_root_system(t)
     if args.weight is not None:
-        lam = parse_weight(args.weight, rs.rank)
+        t, rs, lam = _typed(args.type, args.weight)
         cls = grading_class(rs, lam)
         group = fundamental_group(t)
         if args.format == "json":
@@ -179,6 +177,7 @@ def _cmd_grade(args) -> int:
         else:
             print(f"class: {','.join(map(str, cls))} in {_fmt_group(group)}")
         return 0
+    t, rs = _typed(args.type)
     pres = grading_presentation(rs, args.bound)
     matches = matches_fundamental_group(pres, rs)
     factors = pres.quotient.invariant_factors
@@ -209,10 +208,7 @@ def _cmd_grade(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    t = parse_cartan_type(args.type)
-    rs = build_root_system(t)
-    lam = parse_weight(args.left, rs.rank)
-    mu = parse_weight(args.right, rs.rank)
+    t, rs, lam, mu = _typed(args.type, args.left, args.right)
     word = tensor_equivalent(rs, lam, mu, bound=args.bound, depth=args.depth)
     if args.format == "json":
         return _emit(

@@ -376,8 +376,9 @@ def clebsch_gordan_sl2(m: int, n: int) -> Decomposition:
 def dominant_weights_up_to(rs: RootSystem, bound: int) -> list[Weight]:
     """All dominant weights with coordinate sum at most ``bound``, in
     lexicographic order."""
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
+    # True == 1.0 == 1: a bool would run as 1 and reach the atlas JSON as true
+    if type(bound) is not int or bound < 0:
+        raise ValueError(f"bound {bound!r} must be a nonnegative int")
     out: list[Weight] = []
 
     def extend(prefix: tuple[int, ...], remaining: int) -> None:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from rootatlas.cli import run
+from rootatlas.rootsys import build_root_system
 
 
 def _json_out(capsys):
@@ -170,6 +171,28 @@ def test_bad_type_exits_2(capsys):
 def test_bad_weight_exits_2(capsys):
     assert run(["dim", "A2", "1"]) == 2
     assert "expected 2" in capsys.readouterr().err
+
+
+_A400_ZERO = ",".join(["0"] * 400)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "A400", "1"],
+        ["weights", "A400", "1"],
+        ["tensor", "A400", _A400_ZERO, "1"],
+        ["grade", "A400", "1"],
+        ["equiv", "A400", "1", _A400_ZERO],
+    ],
+)
+def test_bad_weight_is_refused_before_the_root_system_is_built(capsys, argv):
+    # building A400's 160,400 roots takes far longer than the refusal
+    before = build_root_system.cache_info()
+    assert run(argv) == 2
+    after = build_root_system.cache_info()
+    assert after.misses == before.misses
+    assert "has 1 coordinates, expected 400" in capsys.readouterr().err
 
 
 def test_non_dominant_weight_exits_2(capsys):

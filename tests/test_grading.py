@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootatlas import grading
+from rootatlas.classify import build_atlas
 from rootatlas.cli import run
 from rootatlas.grading import (
     TensorRelation,
@@ -425,6 +426,22 @@ def test_tensor_equivalent_validates_input():
     for kwargs in [{"bound": 2.0}, {"bound": True}, {"depth": 3.0}, {"depth": True}]:
         with pytest.raises(ValueError):
             tensor_equivalent(a3, a, b, **kwargs)
+
+
+@pytest.mark.parametrize("bound", [True, False, 1.0, 2.5, "1"])
+def test_bound_must_be_an_int(bound):
+    # True == 1 == 1.0: a bool ran as 1 and wrote "bound": true into the
+    # atlas JSON, and a float failed later with TypeError from range
+    rs = _SYSTEMS["A2"]
+    calls = [
+        lambda: dominant_weights_up_to(rs, bound),
+        lambda: generate_relations(rs, bound),
+        lambda: grading_presentation(rs, bound),
+        lambda: build_atlas(1, bound),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be a nonnegative int"):
+            call()
 
 
 def test_relations_hold_in_weight_class_group():

@@ -33,6 +33,7 @@ from rootatlas.rootsys import (
     simple_reflection,
     weyl_orbit,
 )
+from weyl_character import character_defect
 
 _SYSTEMS = {
     name: build_root_system(parse_cartan_type(name))
@@ -808,6 +809,23 @@ def test_dominant_weights_up_to():
     assert dominant_weights_up_to(a2, 0) == [(0, 0)]
     with pytest.raises(ValueError):
         dominant_weights_up_to(a2, -1)
+
+
+@pytest.mark.parametrize(
+    "name, lam",
+    [
+        ("G2", (1, 1)),
+        ("B3", (1, 0, 1)),
+        ("D4", (1, 0, 1, 1)),
+        ("F4", (0, 0, 0, 2)),
+        ("F4", (1, 0, 0, 1)),
+    ],
+)
+def test_weyl_character_formula(name, lam):
+    # an oracle that reads only the Cartan matrix: chi_lam * A_rho fixes
+    # every multiplicity.  E6 (1,0,0,0,0,0) takes seconds, so it runs as
+    # tests/weyl_character.py outside the suite
+    assert character_defect(_SYSTEMS[name], lam) == {}
 
 
 def test_dominant_weights_count():
