@@ -2,11 +2,11 @@
 """Build the classification atlas and write it as JSON.
 
 Per-entry wall time goes to stderr.  The default parameters (rank <= 4,
-grading bound 3) take about 2.5 s and 46 MB on a shared 2-vCPU Xeon VM,
-F4 about 2 s of it.  Nearly all of that time is the tensor products
+grading bound 3) take about 2 s and 47 MB on a shared 2-vCPU Xeon VM,
+F4 about 0.8 s of it.  Nearly all of that time is the tensor products
 behind the grading relations; the Smith normal form of each generators x
 relations matrix is about 0.25 s of it.  Pass --bound 2 for a build in
-about 0.4 s.
+about 0.25 s.
 """
 
 import argparse

@@ -52,6 +52,7 @@ def _cold_caches():
         repring._bonds,
         repring._orbit_walls,
         repring._module,
+        repring._orbit_sums,
     ):
         helper.cache_clear()
 
@@ -153,7 +154,16 @@ def test_wall_selector_matches_the_direct_wall_test():
         coroots = _height_two_coroots(rs)
         pairings = shifted + [sum(map(mul, k, shifted)) for k in coroots]
         wm = weight_multiplicities(rs, mu)
-        selector = repring._off_walls(repring._module(rs, mu)[2], pairings)
+        keys, blocks = repring._module(rs, mu)
+        assert keys == tuple(wm)
+        # the blocks tile the module, each its orbit in iteration order
+        tiles = [keys[start:end] for _, _, start, end, _ in blocks]
+        assert tiles == [tuple(repring._orbit(rs, dom)) for dom, *_ in blocks]
+        assert tuple(itertools.chain(*tiles)) == keys
+        selector = b"".join(
+            repring._off_walls(walls, pairings, end - start)
+            for _, _, start, end, walls in blocks
+        )
         shifted_weights = [tuple(map(add, shifted, nu)) for nu in wm]
         off_simple = [0 not in v for v in shifted_weights]
         direct = [
@@ -546,23 +556,30 @@ def test_repeated_calls_hit_the_caches(monkeypatch):
     _cold_caches()
     multisets = _count_calls(monkeypatch, repring, "weight_multiplicities")
     orbits = _count_calls(monkeypatch, repring, "weyl_orbit")
+    straightened = _count_calls(monkeypatch, repring, "_straighten")
     first = list(tensor_decompose(rs, lam, mu).items())
-    assert multisets and orbits
+    assert multisets and orbits and straightened
+    memo = repring._orbit_sums(rs)
+    assert set(memo) == {(lam, dom) for dom in repring._dominant_table(rs, mu)}
     multisets.clear()
     orbits.clear()
-    # a repeat, in either argument order, builds no multiset, orbit or mask
-    # and computes no Weyl dimension: it reads them all from the caches
+    straightened.clear()
+    # a repeat, in either argument order, builds no multiset, orbit, mask or
+    # sum and computes no Weyl dimension: it reads them all from the caches
     dims = repring._weyl_dim.cache_info()
     masks = repring._orbit_walls.cache_info(), repring._module.cache_info()
+    sums = dict(memo)
     for a, b in [(lam, mu), (mu, lam), (lam, mu)]:
         assert list(tensor_decompose(rs, a, b).items()) == first
-    assert multisets == [] and orbits == []
+    assert multisets == [] and orbits == [] and straightened == []
     assert repring._weyl_dim.cache_info().misses == dims.misses
     assert repring._orbit_walls.cache_info().misses == masks[0].misses
     assert repring._module.cache_info().misses == masks[1].misses
+    assert memo == sums and all(memo[k] is sums[k] for k in sums)
 
     # a second product with the same smaller factor builds no new multiset
-    # and no new masks: it is one hit on the cached module
+    # and no new masks: it is one hit on the cached module, and it adds one
+    # orbit sum per dominant weight of that factor
     masks = repring._orbit_walls.cache_info(), repring._module.cache_info()
     assert masks[1].currsize == 1
     tensor_decompose(rs, (2, 0, 1), mu)
@@ -570,11 +587,14 @@ def test_repeated_calls_hit_the_caches(monkeypatch):
     assert repring._orbit_walls.cache_info().misses == masks[0].misses
     assert repring._module.cache_info().misses == masks[1].misses
     assert repring._module.cache_info().hits == masks[1].hits + 1
-    # the module holds the cached orbit masks themselves, in table order
-    held = repring._module(rs, mu)[2]
     table = repring._dominant_table(rs, mu)
-    assert len(held) == len(table)
-    assert all(h is repring._orbit_walls(rs, m) for h, m in zip(held, table))
+    assert len(memo) == 2 * len(table)
+    # the module holds the cached orbit masks themselves, in table order
+    keys, blocks = repring._module(rs, mu)
+    assert [(dom, m) for dom, m, *_ in blocks] == list(table.items())
+    assert all(
+        walls is repring._orbit_walls(rs, dom)[1] for dom, _, _, _, walls in blocks
+    )
 
     orbits.clear()
     weights = list(weight_multiplicities(rs, (2, 0, 0)).items())
@@ -605,6 +625,78 @@ def test_module_does_not_alias_the_multiset_it_was_built_from(monkeypatch):
     assert len(built) == 1
 
 
+# the orbit-sum memo's corpus: a seeded sample of the pairs of dominant
+# weights of coordinate sum at most 2 on each type
+MEMO_CORPUS = [("B3", 40), ("F4", 12), ("E6", 8), ("A2xB2", 40)]
+
+
+def _memo_pairs(name, sample):
+    rs = build_root_system(parse_cartan_type(name))
+    weights = dominant_weights_up_to(rs, 2)
+    pairs = list(itertools.combinations_with_replacement(weights, 2))
+    return rs, weights, random.Random(name).sample(pairs, sample)
+
+
+def _larger_first(rs, lam, mu):
+    """The factors of V(lam) (x) V(mu), the larger (dimension, weight) first."""
+    return sorted((lam, mu), key=lambda w: (weyl_dim(rs, w), w), reverse=True)
+
+
+@pytest.mark.parametrize("name,sample", MEMO_CORPUS)
+def test_warm_orbit_sums_give_the_cold_items(name, sample):
+    # a product whose orbit sums were stored by other products, with the
+    # same larger factor and a smaller factor that shares a dominant weight
+    # with this one, gives the items that it gives with the memo empty
+    rs, weights, pairs = _memo_pairs(name, sample)
+    hits = 0
+    for pair in pairs:
+        big, small = _larger_first(rs, *pair)
+        repring._orbit_sums.cache_clear()
+        cold = list(tensor_decompose(rs, big, small).items())
+        table = dominant_weight_multiplicities(rs, small)
+        others = [
+            w
+            for w in weights
+            if w != small
+            and (weyl_dim(rs, w), w) < (weyl_dim(rs, big), big)
+            and not table.keys().isdisjoint(dominant_weight_multiplicities(rs, w))
+        ]
+        repring._orbit_sums.cache_clear()
+        for w in others[:3]:
+            tensor_decompose(rs, big, w)
+            tensor_decompose(rs, w, big)
+        memo = repring._orbit_sums(rs)
+        hits += sum((big, dom) in memo for dom in table)
+        assert list(tensor_decompose(rs, big, small).items()) == cold
+    assert hits
+
+
+def _straighten_every_weight(rs, lam, mu):
+    """The items of V(lam) (x) V(mu) with no memo and no wall masks: lam +
+    rho + nu straightened by dominant_representative for every item nu of
+    the smaller factor's weight multiset, in item order."""
+    big, small = _larger_first(rs, lam, mu)
+    acc = {}
+    for nu, m in weight_multiplicities(rs, small).items():
+        v = tuple(b + 1 + c for b, c in zip(big, nu))
+        dom, sign, singular = dominant_representative(rs, v)
+        if not singular:
+            acc[dom] = acc.get(dom, 0) + sign * m
+    return [(tuple(c - 1 for c in w), m) for w, m in acc.items() if m]
+
+
+@pytest.mark.parametrize("name,sample", MEMO_CORPUS)
+def test_tensor_items_match_straightening_every_weight(name, sample):
+    # one sweep with the memo kept throughout, so most products read some
+    # of their orbit sums from earlier ones
+    rs, _, pairs = _memo_pairs(name, sample)
+    _cold_caches()
+    for lam, mu in pairs:
+        expected = _straighten_every_weight(rs, lam, mu)
+        assert list(tensor_decompose(rs, lam, mu).items()) == expected
+        assert list(tensor_decompose(rs, mu, lam).items()) == expected
+
+
 def test_cold_tensor_decompose_does_not_rebuild_the_root_system():
     rs = _SYSTEMS["B3"]
     _cold_caches()
@@ -626,6 +718,7 @@ def test_rebuilt_root_system_hits_the_same_entries():
     assert list(tensor_decompose(rebuilt, (1, 0, 1), (0, 1, 0)).items()) == first
     after = repring._module.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    assert repring._orbit_sums(rebuilt) is repring._orbit_sums(rs)
 
 
 def test_equal_rank_types_do_not_share_cache_entries():
