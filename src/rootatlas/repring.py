@@ -54,11 +54,15 @@ and every call returns a fresh dict, so a caller may change what it gets:
 - ``_orbit_sums``: per root system, one dict, the memo of orbit sums.
   V(mu)'s weights are the orbits W mu' with multiplicity m, so the signed
   straightening of lam + rho + nu, summed over nu in W mu', depends only
-  on (lam, mu'), the key.  The value is the rho-shifted straightened
-  weights in first-occurrence order, as tuples shared through ``_intern``,
-  and their signed counts.  Keys whose count is 0 stay: a decomposition
-  adds m times each block's sums in block order, so its keys reach the
-  result in the order that a walk over every weight gives them.
+  on (lam, mu'), the key.  The value is the straightened weights with rho
+  taken off, in first-occurrence order, as the tuples that ``_minus_rho``
+  shares, and their signed counts.  Keys whose count is 0 stay: a
+  decomposition adds m times each block's sums in block order, so its keys
+  reach the result in the order that a walk over every weight gives them.
+
+Each block is added in one ``dict.update`` over C iterators, safe because
+a block's weights are distinct: each ``get`` reads the sum from before the
+block.  A C filter on the sums' values then gives the result.
 
 A decomposition reads the wall masks only for a block that the memo lacks.
 For a weight nu of V(mu), lam + rho + nu pairs to zero with alpha^vee
@@ -79,9 +83,9 @@ from dominant are most of the singular ones a product straightens, so
 these walls catch nearly all of them, and a column per higher root costs
 more than the straightenings it saves.
 
-A ninth cache, ``_intern``, returns the first tuple it was given for each
-value, so the relations and word constituents that callers keep share one
-tuple per highest weight.
+A ninth cache, ``_minus_rho``, takes rho off a straightened weight and
+keeps one tuple per highest weight, which the memo's keys and the relations
+callers keep share.  It is injective, so the memo's keys keep their order.
 """
 
 from __future__ import annotations
@@ -306,7 +310,7 @@ def _orbit_walls(rs: RootSystem, mu: Weight) -> _OrbitWalls:
 # a dominant weight mu' of a module, its multiplicity m, the slice
 # [start, end) of the module's weights that is W mu', and its wall masks
 _Block = tuple[Weight, int, int, int, tuple[dict[int, int], ...]]
-# the rho-shifted straightened weights of one orbit block, in first-occurrence
+# the straightened weights of one orbit block less rho, in first-occurrence
 # order, and the signed count of each
 _OrbitSum = tuple[tuple[Weight, ...], tuple[int, ...]]
 
@@ -347,12 +351,10 @@ def _orbit_sums(rs: RootSystem) -> dict[tuple[Weight, Weight], _OrbitSum]:
     return {}
 
 
-# one shared tuple per weight, the first one seen, so that the results kept
-# by callers and the keys of the orbit-sum memo do not each hold their own
-# copy
+# one tuple per highest weight, shared by the memo's keys and the results
 @functools.cache
-def _intern(w: Weight) -> Weight:
-    return w
+def _minus_rho(v: Weight) -> Weight:
+    return tuple(map(sub, v, repeat(1)))
 
 
 def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
@@ -371,7 +373,6 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
         lam, mu = mu, lam
 
     cols = rs.reflection_cols
-    shifted = [c + 1 for c in lam]
     pairings = None
     keys, blocks = _module(rs, mu)
     memo = _orbit_sums(rs)
@@ -380,6 +381,7 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
         entry = memo.get((lam, dom))
         if entry is None:
             if pairings is None:
+                shifted = [c + 1 for c in lam]
                 pairings = shifted + [
                     ki * shifted[i] + kj * shifted[j] for i, j, ki, kj in _bonds(rs)
                 ]
@@ -401,15 +403,13 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
                 sums[v] = sums.get(v, 0) + sign
             # a key whose sum is 0 stays: it fixes where the key first
             # enters the product, and so the product's item order
-            entry = memo[lam, dom] = (tuple(map(_intern, sums)), tuple(sums.values()))
-        # keyed by the rho-shifted weight; rho comes off the survivors below
-        for v, s in zip(*entry):
-            acc[v] = acc.get(v, 0) + mult * s
+            entry = memo[lam, dom] = tuple(map(_minus_rho, sums)), tuple(sums.values())
+        # a block's weights are distinct: each get reads the sum from before the block
+        weights, counts = entry
+        added = map(mul, counts, repeat(mult))
+        acc.update(zip(weights, map(add, map(acc.get, weights, repeat(0)), added)))
 
-    result = {}
-    for w, m in acc.items():
-        if m:
-            result[_intern(tuple(map(sub, w, repeat(1))))] = m
+    result = dict(compress(acc.items(), acc.values()))
     if min(result.values(), default=0) < 0:
         raise AssertionError("cancellation must leave positives")
     return result

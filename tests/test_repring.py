@@ -42,11 +42,11 @@ _SYSTEMS = {
 
 
 def _cold_caches():
-    """Empty repring's caches and its intern table."""
+    """Empty repring's caches."""
     for helper in (
         repring._dominant_table,
         repring._orbit,
-        repring._intern,
+        repring._minus_rho,
         repring._weyl_dim,
         repring._root_classes,
         repring._bonds,
@@ -116,13 +116,8 @@ def test_weight_multiset_order_is_table_then_orbit_order(name):
         assert list(weight_multiplicities(rs, lam).items()) == expected
 
 
-def _selector_cases():
-    # each pair of the parity corpus, the same seeded sample on F4 and E6,
-    # both ways round, then pairings past a byte: A1 (300) and (299); A2
-    # (255,300) over the module (0,256), whose weights reach -256 at a
-    # simple wall; and A2 (100,154) over (0,256), where lam + rho pairs to
-    # 256 with the coroot of alpha_1 + alpha_2 and nu = (-256, 0) meets
-    # that wall alone
+def _parity_pairs():
+    """Each pair of the parity corpus, the same seeded sample on F4 and E6."""
     rng = random.Random(1)
     for name, sample in PARITY_CORPUS:
         rs = build_root_system(parse_cartan_type(name))
@@ -132,7 +127,34 @@ def _selector_cases():
             pairs = rng.sample(pairs, sample)
         for lam, mu in pairs:
             yield rs, lam, mu
-            yield rs, mu, lam
+
+
+def test_result_keys_are_shared_weights():
+    # every constituent is the one tuple that _minus_rho keeps for its
+    # weight, so products with a constituent in common, in either argument
+    # order, hold one object for it, and a repeated product adds no miss
+    _cold_caches()
+    shared = {}
+    for rs, lam, mu in _parity_pairs():
+        first = tensor_decompose(rs, lam, mu)
+        misses = repring._minus_rho.cache_info().misses
+        again = tensor_decompose(rs, mu, lam)
+        assert repring._minus_rho.cache_info().misses == misses
+        for w in [*first, *again]:
+            assert w is repring._minus_rho(tuple(c + 1 for c in w))
+            assert w is shared.setdefault(w, w)
+    assert shared
+
+
+def _selector_cases():
+    # each pair of the parity corpus both ways round, then pairings past a
+    # byte: A1 (300) and (299); A2 (255,300) over the module (0,256), whose
+    # weights reach -256 at a simple wall; and A2 (100,154) over (0,256),
+    # where lam + rho pairs to 256 with the coroot of alpha_1 + alpha_2 and
+    # nu = (-256, 0) meets that wall alone
+    for rs, lam, mu in _parity_pairs():
+        yield rs, lam, mu
+        yield rs, mu, lam
     yield _SYSTEMS["A1"], (300,), (299,)
     yield _SYSTEMS["A1"], (299,), (300,)
     yield _SYSTEMS["A2"], (255, 300), (0, 256)
