@@ -22,6 +22,13 @@ Matrix = tuple[tuple[int, ...], ...]
 DEFAULT_ENUMERATION_CAP = 64
 
 
+def _require_ints(**counts: int) -> None:
+    # True == 1 == 1.0 hash alike, so a bool or float would pass for an int
+    for name, value in counts.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} {value!r} must be a nonnegative int")
+
+
 class EnumerationCapError(RuntimeError):
     """Subgroup enumeration refused: the ambient group exceeds the cap."""
 
@@ -109,8 +116,8 @@ class FiniteAbelianGroup:
 
     def __post_init__(self):
         for d in self.invariant_factors:
-            if d < 2:
-                raise ValueError(f"invariant factor {d} < 2")
+            if type(d) is not int or d < 2:
+                raise ValueError(f"invariant factor {d!r} must be an int >= 2")
         for d, e in zip(self.invariant_factors, self.invariant_factors[1:]):
             if e % d:
                 raise ValueError(
@@ -371,6 +378,7 @@ def enumerate_subgroups(
     substitution reads rows i onwards only, must lie in the lattice of the
     rows built so far before any row above them is tried.
     """
+    _require_ints(cap=cap)
     if group.order > cap:
         raise EnumerationCapError(
             f"group of order {group.order} exceeds the enumeration cap {cap}"

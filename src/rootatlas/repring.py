@@ -33,7 +33,10 @@ and every call returns a fresh dict, so a caller may change what it gets:
   each decomposition reads its two factors' dimensions there to pick the
   smaller factor;
 - ``_root_classes``: the classes of positive roots that the recursion sums
-  over, keyed by (root system, zero coordinates of the weight);
+  over, keyed by (root system, zero coordinates of the weight): the roots
+  of one norm and one set of simple coordinates off the zeros, or, with
+  none there, of one component of the Dynkin diagram on the zeros (Azad,
+  Barry and Seitz, Comm. Algebra 18, 1990);
 - ``_bonds``: per root system, the roots alpha_i + alpha_j of height two,
   one per bond of the Dynkin diagram, as (i, j, k_i, k_j) with coroot
   k_i alpha_i^vee + k_j alpha_j^vee;
@@ -205,36 +208,20 @@ def _root_classes(
     rs: RootSystem, zeros: tuple[int, ...]
 ) -> tuple[tuple[PositiveRootData, int], ...]:
     """The orbits of the simple reflections s_j, j in ``zeros``, on the
-    positive roots, a root sent below zero replaced by its negative: the
-    first root of each orbit in ``positive_root_data`` order, with the size
-    of the orbit."""
-    cols = rs.reflection_cols
-    positive = rs.positive_roots
-    seen: set[Weight] = set()
-    classes = []
+    positive roots up to sign, read off the roots by the rule of Azad, Barry
+    and Seitz (1990) in the module docstring: the first root of each orbit
+    in ``positive_root_data`` order, with the size of the orbit."""
+    # label each zero by the least index of its component, in len(zeros) sweeps
+    comp = {j: j for j in zeros}
+    for i in zeros * len(zeros):
+        comp[i] = min(comp[j] for j in zeros if rs.cartan_matrix[i][j])
+    classes: dict[tuple, list] = {}
     for p in rs.positive_root_data:
-        if p.root in seen:
-            continue
-        orbit = {p.root}
-        queue = [p.root]
-        while queue:
-            v = queue.pop()
-            for j in zeros:
-                c = v[j]
-                if c == 0:
-                    continue
-                out = list(v)
-                for i, a in cols[j]:
-                    out[i] -= c * a
-                t = tuple(out)
-                if t not in positive:
-                    t = tuple(-x for x in t)
-                if t not in orbit:
-                    orbit.add(t)
-                    queue.append(t)
-        seen |= orbit
-        classes.append((p, len(orbit)))
-    return tuple(classes)
+        shape = tuple(c for i, c in enumerate(p.simple_coords) if i not in comp)
+        if not any(shape):
+            shape = comp[next(j for j in zeros if p.simple_coords[j])]
+        classes.setdefault((p.norm, shape), [p, 0])[1] += 1
+    return tuple(map(tuple, classes.values()))
 
 
 def weight_multiplicities(rs: RootSystem, lam: Weight) -> WeightMultiset:

@@ -157,6 +157,28 @@ def test_enumeration_cap_embeds_error():
     assert entry.fundamental_group.order == 128
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_atlas(True, 1),
+        lambda: build_atlas(1.5),
+        lambda: build_atlas(2, 1, enumeration_cap=True),
+        lambda: build_atlas(2, 1, grading_dim_cap=2.0e7),
+        lambda: build_entry(parse_cartan_type("A3"), True, enumeration_cap=1),
+        lambda: build_entry(parse_cartan_type("A1"), 1.0),
+        lambda: atlas_to_json([], max_rank=2, bound=1.0),
+        lambda: atlas_to_json([], max_rank=False, bound=1),
+        lambda: atlas_to_json([], 2, 1, enumeration_cap=64.0),
+        lambda: atlas_to_json([], 2, 1, grading_dim_cap=True),
+        lambda: lattice.enumerate_subgroups(FiniteAbelianGroup((2,)), 2.0),
+    ],
+)
+def test_atlas_counts_must_be_ints(call):
+    # a bool or float count would reach the atlas JSON as written
+    with pytest.raises(ValueError, match="must be a nonnegative int"):
+        call()
+
+
 def test_json_shape():
     entry = build_entry(parse_cartan_type("A3"), bound=1)
     data = entry_to_json(entry)

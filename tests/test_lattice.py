@@ -285,6 +285,13 @@ def test_invariant_factor_validation():
     FiniteAbelianGroup((2, 4))
 
 
+@pytest.mark.parametrize("factors", [(2.0,), (True,), (2, 4.0), ("2",)])
+def test_invariant_factors_must_be_ints(factors):
+    # 2.0 would hash equal to 2 and share its cache keys
+    with pytest.raises(ValueError, match="must be an int"):
+        FiniteAbelianGroup(factors)
+
+
 def _powerset_subgroups(group):
     """Oracle: scan all element subsets for closure under the group laws."""
     elems = list(group.elements())

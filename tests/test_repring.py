@@ -277,7 +277,16 @@ def test_dominant_tables_match_pinned_digest():
     assert digest.hexdigest() == TABLE_SHA256
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4", "F4", "A1xA1", "A2xB2"])
+# every irreducible type of rank <= 7, and E8; the products put roots of
+# equal length with no coordinate off the zeros in different components of
+# the diagram on the zeros, also across factors
+ROOT_CLASS_TYPES = (
+    "A1 A2 B2 C2 G2 A3 B3 C3 A4 B4 C4 D4 F4 A5 B5 C5 D5 A6 B6 C6 D6 E6 "
+    "A7 B7 C7 D7 E7 E8 A1xA1 A2xB2 A2xA2 A1xA1xA3 B2xA1xA1 G2xA2"
+).split()
+
+
+@pytest.mark.parametrize("name", ROOT_CLASS_TYPES)
 def test_root_classes_are_the_reflection_orbits_up_to_sign(name):
     rs = build_root_system(parse_cartan_type(name))
     positive = rs.positive_roots
@@ -306,6 +315,11 @@ def test_root_classes_are_the_reflection_orbits_up_to_sign(name):
             assert set(found) == set(parts.values())
             assert len(found) == len(set(found))
             assert [n for _, n in classes] == [len(part) for part in found]
+            # each class is named by its first root, in root order
+            firsts = {}
+            for p in rs.positive_root_data:
+                firsts.setdefault(parts[p.root], p)
+            assert classes == tuple((p, len(part)) for part, p in firsts.items())
     singletons = repring._root_classes(rs, ())
     assert singletons == tuple((p, 1) for p in rs.positive_root_data)
 
