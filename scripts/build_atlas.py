@@ -1,12 +1,9 @@
 #!/usr/bin/env python3
 """Build the classification atlas and write it as JSON.
 
-Per-entry wall time goes to stderr.  The default parameters (rank <= 4,
-grading bound 3) take about 2 s and 47 MB on a shared 2-vCPU Xeon VM,
-F4 about 0.8 s of it.  Nearly all of that time is the tensor products
-behind the grading relations; the Smith normal form of each generators x
-relations matrix is about 0.25 s of it.  Pass --bound 2 for a build in
-about 0.25 s.
+Per-entry wall time goes to stderr.  README.md's paragraph on the default
+atlas gives its measured time and memory, where the time goes, and the
+faster --bound 2 build.
 """
 
 import argparse

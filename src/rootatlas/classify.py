@@ -67,7 +67,7 @@ class AtlasEntry:
 def admissible_irreducible_types(max_rank: int) -> list[CartanType]:
     """All irreducible admissible types of rank <= max_rank, ordered by
     (rank, family letter)."""
-    _require_ints(max_rank=max_rank)
+    _require_ints(1, max_rank=max_rank)
     found = []
     for rank in range(1, max_rank + 1):
         for family in "ABCDEFG":
@@ -176,9 +176,8 @@ def build_entry(
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
     grading_dim_cap: int = DEFAULT_GRADING_DIM_CAP,
 ) -> AtlasEntry:
-    _require_ints(
-        bound=bound, enumeration_cap=enumeration_cap, grading_dim_cap=grading_dim_cap
-    )
+    _require_ints(0, bound=bound)
+    _require_ints(1, enumeration_cap=enumeration_cap, grading_dim_cap=grading_dim_cap)
     group = fundamental_group(t)
     try:
         infos, edges = _diagram_infos(t, enumeration_cap)
@@ -292,5 +291,7 @@ def atlas_to_json(
         "enumeration_cap": enumeration_cap,
         "grading_dim_cap": grading_dim_cap,
     }
-    _require_ints(**parameters)
+    _require_ints(1, max_rank=max_rank)
+    _require_ints(0, bound=bound)
+    _require_ints(1, enumeration_cap=enumeration_cap, grading_dim_cap=grading_dim_cap)
     return {"parameters": parameters, "entries": [entry_to_json(e) for e in entries]}

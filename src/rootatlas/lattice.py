@@ -22,11 +22,13 @@ Matrix = tuple[tuple[int, ...], ...]
 DEFAULT_ENUMERATION_CAP = 64
 
 
-def _require_ints(**counts: int) -> None:
+def _require_ints(low: int, **counts: int) -> None:
     # True == 1 == 1.0 hash alike, so a bool or float would pass for an int
     for name, value in counts.items():
         if type(value) is not int:
             raise ValueError(f"{name} {value!r} must be a nonnegative int")
+        if value < low:
+            raise ValueError(f"{name} {value} must be at least {low}")
 
 
 class EnumerationCapError(RuntimeError):
@@ -208,36 +210,35 @@ def fundamental_group(t: CartanType) -> FiniteAbelianGroup:
 def hermite_basis(rows, k: int) -> Matrix:
     """Canonical upper-triangular basis of the full-rank lattice spanned by
     ``rows`` in Z^k: positive pivots on the diagonal, entries above each
-    pivot reduced to [0, pivot)."""
+    pivot reduced to [0, pivot).
+
+    Each row is inserted into an echelon table with one slot per column: an
+    empty slot takes it, and at a full slot Euclid down that column leaves
+    the gcd in the slot and the row walks on.  The Hermite form of a lattice
+    is unique, so the route taken cannot change the result."""
     work = [list(r) for r in rows]
     for r in work:
         if len(r) != k:
             raise ValueError(f"row {tuple(r)} has length {len(r)}, expected {k}")
-    basis = []
-    for col in range(k):
-        pool = [r for r in work if r[col] != 0]
-        if not pool:
-            raise ValueError("rows do not span a full-rank lattice")
-        # gcd-combine everything with a nonzero entry in this column
-        while len(pool) > 1:
-            pool.sort(key=lambda r: abs(r[col]))
-            head = pool[0]
-            rest = []
-            for r in pool[1:]:
-                q = r[col] // head[col]
-                new = [x - q * y for x, y in zip(r, head)]
-                if new[col]:
-                    rest.append(new)
-                elif any(new):
-                    work.append(new)
-            pool = [head] + rest
-        pivot = pool[0]
-        if pivot[col] < 0:
-            pivot = [-x for x in pivot]
-        work = [r for r in work if r[col] == 0 and any(r)]
-        basis.append(pivot)
-    # reduce entries above each pivot
+    basis = [None] * k
+    for v in work:
+        for col in range(k):
+            if not v[col]:
+                continue
+            head = basis[col]
+            if head is None:
+                basis[col] = v
+                break
+            while v[col]:
+                q = head[col] // v[col]
+                head, v = v, [x - q * y for x, y in zip(head, v)]
+            basis[col] = head
+    if None in basis:
+        raise ValueError("rows do not span a full-rank lattice")
+    # make each pivot positive, then reduce the entries above it
     for j in range(k):
+        if basis[j][j] < 0:
+            basis[j] = [-x for x in basis[j]]
         for i in range(j):
             q = basis[i][j] // basis[j][j]
             if q:
@@ -378,7 +379,7 @@ def enumerate_subgroups(
     substitution reads rows i onwards only, must lie in the lattice of the
     rows built so far before any row above them is tried.
     """
-    _require_ints(cap=cap)
+    _require_ints(1, cap=cap)
     if group.order > cap:
         raise EnumerationCapError(
             f"group of order {group.order} exceeds the enumeration cap {cap}"
@@ -412,16 +413,14 @@ def subgroup_invariant_factors(s: Subgroup) -> FiniteAbelianGroup:
     """The abstract isomorphism type of a subgroup.
 
     Writes the ambient relations in the subgroup's lattice basis and reads
-    the invariant factors from the Smith form of that integer matrix.
+    the invariant factors through ``cokernel`` of that square integer
+    matrix, whose Smith form has the same diagonal as its transpose's.
     """
-    k = len(s.ambient.invariant_factors)
     # the rows of diag(d) * basis^{-1}: each relation in the basis's coordinates
     rows = [_lattice_coordinates(s.basis, rel) for rel in _relation_rows(s.ambient)]
     if None in rows:
         raise AssertionError("relations do not lie in the subgroup lattice")
-    _, diag, _ = smith_normal_form(rows, _right=False)
-    factors = tuple(diag[i][i] for i in range(k) if diag[i][i] > 1)
-    return FiniteAbelianGroup(factors)
+    return FiniteAbelianGroup(cokernel(rows, len(rows))[0])
 
 
 @dataclass(frozen=True)

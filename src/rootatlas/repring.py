@@ -416,16 +416,10 @@ def dominant_weights_up_to(rs: RootSystem, bound: int) -> list[Weight]:
     # True == 1.0 == 1: a bool would run as 1 and reach the atlas JSON as true
     if type(bound) is not int or bound < 0:
         raise ValueError(f"bound {bound!r} must be a nonnegative int")
-    out: list[Weight] = []
-
-    def extend(prefix: tuple[int, ...], remaining: int) -> None:
-        if len(prefix) == rs.rank:
-            out.append(prefix)
-            return
-        for c in range(remaining + 1):
-            extend(prefix + (c,), remaining - c)
-
-    extend((), bound)
+    # one coordinate a level, each prefix extended by ascending c: lex order
+    out: list[Weight] = [()]
+    for _ in range(rs.rank):
+        out = [w + (c,) for w in out for c in range(bound - sum(w) + 1)]
     return out
 
 

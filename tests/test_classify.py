@@ -18,6 +18,7 @@ from rootatlas.classify import (
     label_diagram,
 )
 from rootatlas.cli import run
+from rootatlas.grading import grading_presentation
 from rootatlas.lattice import (
     Diagram,
     EnumerationCapError,
@@ -30,7 +31,7 @@ from rootatlas.lattice import (
     isogeny_order,
     simply_connected_diagram,
 )
-from rootatlas.rootsys import parse_cartan_type
+from rootatlas.rootsys import build_root_system, parse_cartan_type
 
 
 def _types(entries):
@@ -177,6 +178,52 @@ def test_atlas_counts_must_be_ints(call):
     # a bool or float count would reach the atlas JSON as written
     with pytest.raises(ValueError, match="must be a nonnegative int"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_atlas(-1, 1), "max_rank -1 must be at least 1"),
+        (lambda: build_atlas(0, 1), "max_rank 0 must be at least 1"),
+        (lambda: build_atlas(2, -1), "bound -1 must be at least 0"),
+        (
+            lambda: atlas_to_json(
+                [], max_rank=-1, bound=1, enumeration_cap=-5, grading_dim_cap=0
+            ),
+            "max_rank -1 must be at least 1",
+        ),
+        (lambda: atlas_to_json([], 2, -1), "bound -1 must be at least 0"),
+        (lambda: atlas_to_json([], 2, 1, 0), "enumeration_cap 0 must be at least 1"),
+        (
+            lambda: build_entry(parse_cartan_type("A3"), 1, enumeration_cap=0),
+            "enumeration_cap 0 must be at least 1",
+        ),
+        (
+            lambda: build_entry(parse_cartan_type("A3"), 1, grading_dim_cap=-1),
+            "grading_dim_cap -1 must be at least 1",
+        ),
+        (
+            lambda: lattice.enumerate_subgroups(FiniteAbelianGroup((2,)), 0),
+            "cap 0 must be at least 1",
+        ),
+    ],
+)
+def test_atlas_counts_below_the_cli_limits_are_refused(call, message):
+    # the CLI refuses these counts before any work; so does the library
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "name, bound, relations",
+    [("A2", 2, 30), ("G2", 2, 62), ("B3", 1, 14), ("D4", 1, 19)],
+)
+def test_plain_build_entry_keeps_the_full_presentation(name, bound, relations):
+    # every relation in order, the class map and the quotient
+    t = parse_cartan_type(name)
+    full = grading_presentation(build_root_system(t), bound)
+    assert len(full.relations) == relations
+    assert build_entry(t, bound).grading.presentation == full
 
 
 def test_json_shape():

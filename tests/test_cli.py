@@ -279,10 +279,17 @@ def test_enumeration_cap_exits_1(capsys):
 
 
 def test_flag_validation_exits_2(capsys):
-    assert run(["equiv", "A1", "0", "2", "--depth", "0"]) == 2
-    assert run(["grade", "A2", "--bound", "-1"]) == 2
-    assert run(["atlas", "--max-rank", "0"]) == 2
-    capsys.readouterr()
+    # the CLI's own check runs before the library's, so it names the flag
+    for argv, message in [
+        (["equiv", "A1", "0", "2", "--depth", "0"], "--depth must be at least 1"),
+        (["grade", "A2", "--bound", "-1"], "--bound must be at least 0"),
+        (["atlas", "--max-rank", "0"], "--max-rank must be at least 1"),
+        (["atlas", "--bound", "-1"], "--bound must be at least 0"),
+        (["atlas", "--enumeration-cap", "0"], "--enumeration-cap must be at least 1"),
+        (["atlas", "--grading-dim-cap", "0"], "--grading-dim-cap must be at least 1"),
+    ]:
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_missing_command_exits_2(capsys):

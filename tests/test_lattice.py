@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -420,6 +421,62 @@ def test_subgroup_from_random_generators(factors):
         assert s.elements() == closure
         assert {x for x in group.elements() if s.contains(x)} == closure
         assert listed[s.basis] == s
+
+
+def _hermite_corpus():
+    # k <= 5: random rows with negative entries, then redundant ones (an
+    # integer combination of two rows, a zero row) and, in a quarter of the
+    # sets, only k - 1 random rows, which cannot span Z^k
+    rng = random.Random("hermite corpus")
+    corpus = []
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        n = k - 1 if rng.random() < 0.25 else rng.randint(k, k + 1)
+        rows = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)]
+        if rows and rng.random() < 0.5:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = rng.randint(-3, 3)
+            rows.append([x + c * y for x, y in zip(a, b)])
+        if rng.random() < 0.3:
+            rows.append([0] * k)
+        rng.shuffle(rows)
+        corpus.append((rows, k))
+    return corpus
+
+
+def _in_lattice(basis, vec):
+    """Forward substitution down an upper-triangular basis."""
+    v = list(vec)
+    for i, row in enumerate(basis):
+        q, r = divmod(v[i], row[i])
+        if r:
+            return False
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+def test_hermite_basis_against_determinantal_divisors():
+    # the gcd of the k x k minors is the index of the rows' lattice in Z^k,
+    # 0 when they do not span it; a Hermite basis holding every row with
+    # that index spans exactly the rows' lattice
+    full = 0
+    for rows, k in _hermite_corpus():
+        index = 0
+        for minor in itertools.combinations(rows, k):
+            index = math.gcd(index, int(_det(minor)))
+        if index == 0:
+            with pytest.raises(ValueError, match="do not span a full-rank lattice"):
+                hermite_basis(rows, k)
+            continue
+        full += 1
+        basis = hermite_basis(rows, k)
+        assert len(basis) == k
+        for i, row in enumerate(basis):
+            assert len(row) == k and not any(row[:i]) and row[i] > 0
+            assert all(0 <= above[i] < row[i] for above in basis[:i])
+        assert all(_in_lattice(basis, row) for row in rows)
+        assert math.prod(row[i] for i, row in enumerate(basis)) == index
+    assert 150 < full < 300
 
 
 def test_diagram_counts():

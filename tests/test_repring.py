@@ -7,6 +7,7 @@ dimension conservation and pointwise character convolution.
 
 import hashlib
 import itertools
+import math
 import random
 from operator import add, mul
 
@@ -938,6 +939,25 @@ def test_dominant_weights_up_to():
     assert dominant_weights_up_to(a2, 0) == [(0, 0)]
     with pytest.raises(ValueError):
         dominant_weights_up_to(a2, -1)
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_dominant_weights_up_to_match_a_filtered_product(rank):
+    # itertools.product runs in lexicographic order, so the filter keeps it
+    rs = build_root_system(parse_cartan_type(f"A{rank}"))
+    for bound in range(4):
+        box = itertools.product(range(bound + 1), repeat=rank)
+        assert dominant_weights_up_to(rs, bound) == [w for w in box if sum(w) <= bound]
+
+
+@pytest.mark.parametrize("name, bound", [("A30", 1), ("E8", 3)])
+def test_dominant_weights_up_to_count_the_sums(name, bound):
+    # the weights of coordinate sum at most b in rank r: C(r + b, b) of them
+    rs = build_root_system(parse_cartan_type(name))
+    weights = dominant_weights_up_to(rs, bound)
+    assert len(weights) == len(set(weights)) == math.comb(rs.rank + bound, bound)
+    assert weights == sorted(weights)
+    assert all(len(w) == rs.rank and min(w) >= 0 and sum(w) <= bound for w in weights)
 
 
 @pytest.mark.parametrize(
