@@ -27,14 +27,19 @@ from .lattice import (
     FiniteAbelianGroup,
     Subgroup,
     _diagrams,
-    _require_ints,
     center_char_group,
     diagrams,
     fundamental_group,
     irreducible_components,
 )
 from .repring import dominant_weights_up_to, weyl_dim
-from .rootsys import CartanType, CartanTypeError, build_root_system, parse_cartan_type
+from .rootsys import (
+    CartanType,
+    CartanTypeError,
+    _require_ints,
+    build_root_system,
+    parse_cartan_type,
+)
 
 DEFAULT_GRADING_DIM_CAP = 20_000_000
 

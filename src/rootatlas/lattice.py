@@ -14,21 +14,19 @@ import operator
 from dataclasses import dataclass
 from math import prod
 
-from .rootsys import CartanType, RootSystem, Weight, _check_weight, cartan_matrix
+from .rootsys import (
+    CartanType,
+    RootSystem,
+    Weight,
+    _check_weight,
+    _require_ints,
+    cartan_matrix,
+)
 
 Matrix = tuple[tuple[int, ...], ...]
 
 # the largest weight-class group whose subgroups are enumerated by default
 DEFAULT_ENUMERATION_CAP = 64
-
-
-def _require_ints(low: int, **counts: int) -> None:
-    # True == 1 == 1.0 hash alike, so a bool or float would pass for an int
-    for name, value in counts.items():
-        if type(value) is not int:
-            raise ValueError(f"{name} {value!r} must be a nonnegative int")
-        if value < low:
-            raise ValueError(f"{name} {value} must be at least {low}")
 
 
 class EnumerationCapError(RuntimeError):

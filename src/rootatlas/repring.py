@@ -3,13 +3,14 @@
 Dimensions come from the Weyl product formula, weight multiplicities from
 the Freudenthal recursion, and tensor product decompositions from the
 signed straightening of rho-shifted weights.  Both the recursion and the
-decomposition straighten through ``rootsys._straighten``; the decomposition
-first drops every shifted weight on the wall of a simple root or of a root
-of height two, most of the weights of a large product, by a wall test read
-from cached bitmasks.  Two independent routes are deliberately kept:
-dimensions can be cross-checked as the total mass of the weight multiset,
-and decompositions against the convolution of weight multisets.  All
-values are exact integers.
+decomposition straighten through the straightener that
+``rootsys._reflection_kernels`` generates for the root system, fetched once
+per call; the decomposition first drops every shifted weight on the wall
+of a simple root or of a root of height two, most of the weights of a
+large product, by a wall test read from cached bitmasks.  Two independent
+routes are deliberately kept: dimensions can be cross-checked as the total
+mass of the weight multiset, and decompositions against the convolution of
+weight multisets.  All values are exact integers.
 
 The recursion sums its root strings over classes of positive roots, not
 over each root (Moody and Patera, Fast recursion formula for weight
@@ -102,8 +103,9 @@ from .rootsys import (
     PositiveRootData,
     RootSystem,
     Weight,
+    _reflection_kernels,
     _require_dominant,
-    _straighten,
+    _require_ints,
     weyl_orbit,
 )
 
@@ -149,8 +151,8 @@ def dominant_weight_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, 
 def _dominant_table(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     rank = rs.rank
     norms = rs.simple_norms
-    cols = rs.reflection_cols
     positive = rs.positive_root_data
+    straighten = _reflection_kernels(rs)[1]
 
     # dominant weights below lam, with lam - mu expanded over simple roots
     diffs: dict[Weight, tuple[int, ...]] = {lam: (0,) * rank}
@@ -187,7 +189,7 @@ def _dominant_table(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
             while True:
                 v = tuple(map(add, v, proot))
                 # the multiplicity of v is that of its dominant representative
-                m = table.get(_straighten(cols, v)[0], 0)
+                m = table.get(straighten(v)[0], 0)
                 if m == 0:
                     break
                 string += m * sum(map(mul, pcoroot, v))
@@ -359,7 +361,6 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
     if (_weyl_dim(rs, mu), mu) > (_weyl_dim(rs, lam), lam):
         lam, mu = mu, lam
 
-    cols = rs.reflection_cols
     pairings = None
     keys, blocks = _module(rs, mu)
     memo = _orbit_sums(rs)
@@ -368,6 +369,7 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
         entry = memo.get((lam, dom))
         if entry is None:
             if pairings is None:
+                straighten = _reflection_kernels(rs)[1]
                 shifted = [c + 1 for c in lam]
                 pairings = shifted + [
                     ki * shifted[i] + kj * shifted[j] for i, j, ki, kj in _bonds(rs)
@@ -381,7 +383,7 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
             sums: dict[Weight, int] = {}
             selector = _off_walls(walls, pairings, end - start)
             for nu in compress(keys[start:end], selector):
-                v, sign = _straighten(cols, map(add, shifted, nu))
+                v, sign = straighten(map(add, shifted, nu))
                 # a weight off these walls may still lie on a higher root's
                 # wall; reflections keep it singular, so it straightens onto
                 # a simple one
@@ -414,8 +416,7 @@ def dominant_weights_up_to(rs: RootSystem, bound: int) -> list[Weight]:
     """All dominant weights with coordinate sum at most ``bound``, in
     lexicographic order."""
     # True == 1.0 == 1: a bool would run as 1 and reach the atlas JSON as true
-    if type(bound) is not int or bound < 0:
-        raise ValueError(f"bound {bound!r} must be a nonnegative int")
+    _require_ints(0, bound=bound)
     # one coordinate a level, each prefix extended by ascending c: lex order
     out: list[Weight] = [()]
     for _ in range(rs.rank):

@@ -253,24 +253,7 @@ def simple_reflection(rs: RootSystem, i: int, w: Weight) -> Weight:
 def weyl_orbit(rs: RootSystem, w: Weight) -> frozenset[Weight]:
     """The full Weyl group orbit of ``w``, by closure under simple reflections."""
     _check_weight(rs, w)
-    cols = rs.reflection_cols
-    rank = rs.rank
-    seen = {w}
-    queue = [w]
-    while queue:
-        v = queue.pop()
-        for i in range(rank):
-            c = v[i]
-            if c == 0:
-                continue
-            out = list(v)
-            for j, a in cols[i]:
-                out[j] -= c * a
-            t = tuple(out)
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return frozenset(seen)
+    return _reflection_kernels(rs)[0](w)
 
 
 def dominant_representative(rs: RootSystem, w: Weight) -> tuple[Weight, int, bool]:
@@ -283,28 +266,76 @@ def dominant_representative(rs: RootSystem, w: Weight) -> tuple[Weight, int, boo
     coordinate.
     """
     _check_weight(rs, w)
-    dom, sign = _straighten(rs.reflection_cols, w)
+    dom, sign = _reflection_kernels(rs)[1](w)
     return dom, sign, 0 in dom
 
 
-def _straighten(cols, w: Weight) -> tuple[Weight, int]:
-    """The dominant weight in the Weyl orbit of ``w``, with the sign (-1)**k
-    of the k simple reflections that reach it; ``cols`` is a root system's
-    ``reflection_cols``.
+@functools.cache
+def _reflection_kernels(rs: RootSystem):
+    """The orbit closure and the straightener of ``rs``, as two functions
+    generated from ``reflection_cols`` with every coefficient inlined.
 
-    A reflection at a negative coordinate removes exactly one root from
-    N(w) = {alpha > 0 : <w, alpha^vee> < 0}, and N is empty only at a
-    dominant weight, so k = |N(w)| whichever negative coordinate is taken,
-    singular ``w`` included: the end and the sign do not depend on the
-    choice.  Taking the least coordinate lets min and index run in C.
+    ``orbit(w)`` returns the frozenset ``weyl_orbit`` returns.  It keeps the
+    traversal of a plain closure exactly: ``seen = {w}``, a stack popped
+    from its end, the reflections s_i by ascending i with a zero coordinate
+    skipped (s_i fixes it), and ``frozenset(seen)``.  A frozenset iterates
+    in an order that depends on the order of insertion, and that order is
+    the item order of ``weight_multiplicities`` and ``tensor_decompose``, so
+    no other traversal may replace this one.
+
+    ``straighten(w)`` takes any iterable of ``rank`` ints and returns the
+    dominant weight in the Weyl orbit of ``w`` and the sign (-1)**k of the k
+    simple reflections that reach it, reflecting at the first negative
+    coordinate each time.  A reflection at a negative coordinate removes
+    exactly one root from N(w) = {alpha > 0 : <w, alpha^vee> < 0}, and N is
+    empty only at a dominant weight, so k = |N(w)| whichever negative
+    coordinate is taken, singular ``w`` included: the end and the sign do
+    not depend on the choice.
+
+    Each reflection changes only the coordinates of the nonzero entries of
+    its Cartan column, and each coefficient is written into the source
+    with the ``d`` format, which refuses anything but an int.
     """
-    v = list(w)
-    sign = 1
-    while (c := min(v)) < 0:
-        for j, a in cols[v.index(c)]:
-            v[j] -= c * a
-        sign = -sign
-    return tuple(v), sign
+    # "x, y, " reads as a tuple on either side of an assignment, rank 1 too
+    def listed(items) -> str:
+        return "".join(f"{x}, " for x in items)
+
+    v = [f"v{j}" for j in range(rs.rank)]
+    orbit = [
+        "def orbit(w):",
+        "    seen = {w}; queue = [w]; pop = queue.pop; push = queue.append; add = seen.add",
+        "    while queue:",
+        f"        {listed(v)}= pop()",
+    ]
+    straighten = [
+        "def straighten(w):",
+        f"    {listed(v)}= w",
+        "    sign = 1",
+        "    while True:",
+    ]
+    for i, col in enumerate(rs.reflection_cols):
+        # s_i sets v_j to v_j - a v_i for each (j, a) of column i
+        moved = {}
+        for j, a in col:
+            k = f"{abs(a):d}"  # "d" refuses a coefficient that is not an int
+            step = f"v{i}" if k == "1" else f"{k} * v{i}"
+            if j == i and a == 2:
+                moved[j] = f"-v{i}"
+            else:
+                moved[j] = f"v{j} {'+' if a < 0 else '-'} {step}"
+        image = listed(moved.get(j, x) for j, x in enumerate(v))
+        orbit += [
+            f"        if v{i}:",
+            f"            t = ({image})",
+            "            if t not in seen: add(t); push(t)",
+        ]
+        lhs, rhs = listed(v[j] for j in moved), listed(moved.values())
+        straighten.append(f"        {'el' if i else ''}if v{i} < 0: {lhs}= {rhs}")
+    orbit.append("    return frozenset(seen)")
+    straighten += [f"        else: return ({listed(v)}), sign", "        sign = -sign"]
+    namespace: dict = {}
+    exec("\n".join(orbit + straighten), namespace)
+    return namespace["orbit"], namespace["straighten"]
 
 
 _INT_ONLY = frozenset({int})
@@ -321,6 +352,15 @@ def _check_weight(rs: RootSystem, w: Weight) -> None:
     # types is built in C, so the check runs no bytecode per coordinate
     if set(map(type, w)) != _INT_ONLY:
         raise ValueError(f"weight {w} has a coordinate that is not an int")
+
+
+def _require_ints(low: int, **counts: int) -> None:
+    # True == 1 == 1.0 hash alike, so a bool or float would pass for an int
+    for name, value in counts.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} {value!r} must be an int")
+        if value < low:
+            raise ValueError(f"{name} {value} must be at least {low}")
 
 
 def _require_dominant(rs: RootSystem, w: Weight) -> None:

@@ -1,13 +1,16 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from rootatlas.classify import admissible_irreducible_types
 from rootatlas.cli import run
-from rootatlas.rootsys import build_root_system
+from rootatlas.rootsys import CartanTypeError, build_root_system, parse_cartan_type
+from time_limit import time_limit
 
 
 def _json_out(capsys):
@@ -344,3 +347,94 @@ def test_readme_command_line_examples(capsys, args, comment):
     # the comment of a dim or tensor line is its exact output
     if args[0] in ("dim", "tensor"):
         assert out == comment + "\n"
+
+
+# the CLI fuzz guard's grammar: every type of rank <= 4, a few products and
+# a few malformed types; weights that are valid, negative, of the wrong
+# length or malformed; each flag at its limit, below it and above it
+FUZZ_TYPES = [str(t) for t in admissible_irreducible_types(4)] + [
+    "A1xA1", "A1xB2", "G2xA1", "A2xA2", "A1xA1xA1",
+]
+FUZZ_BAD_TYPES = ["A0", "E9", "D3", "b2", "A1x", "Q2", ""]
+FUZZ_FLAGS = {
+    "--bound": ["-1", "0", "1", "1"],
+    "--depth": ["0", "1", "2", "2"],
+    "--max-rank": ["0", "1", "2", "2"],
+    "--enumeration-cap": ["0", "1", "64", "64"],
+    "--grading-dim-cap": ["0", "1", "20000000", "20000000"],
+}
+# each verb's number of weights (None: it takes no type) and its flags
+FUZZ_VERBS = {
+    "roots": (0, []),
+    "weights": (1, []),
+    "dim": (1, []),
+    "tensor": (2, []),
+    "grade": (1, ["--bound"]),
+    "equiv": (2, ["--bound", "--depth"]),
+    "classify": (0, ["--enumeration-cap"]),
+    "atlas": (None, ["--max-rank", "--bound", "--enumeration-cap", "--grading-dim-cap"]),
+}
+
+
+def _rank(type_text):
+    """The rank of a well-formed type, or 2 for a malformed one."""
+    try:
+        return parse_cartan_type(type_text).rank
+    except CartanTypeError:
+        return 2
+
+
+def _fuzz_weight(rng, rank):
+    kind = rng.choice(["valid", "valid", "valid", "negative", "length", "malformed"])
+    if kind == "malformed":
+        return rng.choice(["", ",", "1,,0", "a", "1.5", "--1", "1_0", "0x1"])
+    if kind == "length":
+        rank += rng.choice([-1, 1]) if rank > 1 else 1
+    coords = [0] * rank
+    # coordinate sum at most 2, so that every product stays small
+    for _ in range(rng.randint(0, 2)):
+        coords[rng.randrange(rank)] += 1
+    if kind == "negative":
+        coords[rng.randrange(rank)] = -rng.randint(1, 2)
+    return ",".join(map(str, coords))
+
+
+def _fuzz_argv(rng):
+    verb = rng.choice(sorted(FUZZ_VERBS))
+    weights, flags = FUZZ_VERBS[verb]
+    argv = [verb]
+    if weights is not None:
+        type_text = rng.choice(FUZZ_TYPES * 4 + FUZZ_BAD_TYPES)
+        argv.append(type_text)
+        # grade presents the whole grading group when its weight is left out
+        if verb == "grade" and rng.random() < 0.5:
+            weights = 0
+        argv += [_fuzz_weight(rng, _rank(type_text)) for _ in range(weights)]
+    # every flag is given: a default bound or rank runs for seconds
+    for flag in flags:
+        argv += [flag, rng.choice(FUZZ_FLAGS[flag])]
+    if rng.random() < 0.5:
+        argv += ["--format", "json"]
+    return argv
+
+
+def test_cli_fuzz_guard(capsys):
+    # seeded argv over every verb: each must exit 0, 1 or 2 in time, with
+    # its output on stdout or its error on stderr, and raise nothing else
+    rng = random.Random(1)
+    # first a product on each type, so that each runs the reflection kernels
+    draws = [
+        ["tensor", t, ",".join("1" * _rank(t)), ",".join("0" * _rank(t))]
+        for t in FUZZ_TYPES
+    ]
+    draws.append(["dim", "A400", "1"])
+    draws += [_fuzz_argv(rng) for _ in range(500)]
+    for argv in draws:
+        with time_limit(5):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert out if code == 0 else err, argv

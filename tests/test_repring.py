@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootatlas import repring
+from rootatlas import repring, rootsys
 from rootatlas.grading import grading_class, tensor_equivalent
 from rootatlas.lattice import diagrams, weight_class_data, weight_in_lattice
 from rootatlas.repring import (
@@ -43,8 +43,9 @@ _SYSTEMS = {
 
 
 def _cold_caches():
-    """Empty repring's caches."""
+    """Empty repring's caches and the generated reflection kernels."""
     for helper in (
+        rootsys._reflection_kernels,
         repring._dominant_table,
         repring._orbit,
         repring._minus_rho,
@@ -587,13 +588,32 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _count_straightenings(monkeypatch):
+    """Record the calls of every straightener that repring fetches from
+    ``_reflection_kernels`` for the rest of the test."""
+    calls = []
+    kernels = repring._reflection_kernels
+
+    def fetch(rs):
+        orbit, straighten = kernels(rs)
+
+        def counted(w):
+            calls.append(w)
+            return straighten(w)
+
+        return orbit, counted
+
+    monkeypatch.setattr(repring, "_reflection_kernels", fetch)
+    return calls
+
+
 def test_repeated_calls_hit_the_caches(monkeypatch):
     rs = _SYSTEMS["B3"]
     lam, mu = (1, 0, 1), (0, 1, 0)
     _cold_caches()
     multisets = _count_calls(monkeypatch, repring, "weight_multiplicities")
     orbits = _count_calls(monkeypatch, repring, "weyl_orbit")
-    straightened = _count_calls(monkeypatch, repring, "_straighten")
+    straightened = _count_straightenings(monkeypatch)
     first = list(tensor_decompose(rs, lam, mu).items())
     assert multisets and orbits and straightened
     memo = repring._orbit_sums(rs)

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootatlas import rootsys
 from rootatlas.classify import admissible_irreducible_types
+from rootatlas.repring import dominant_weights_up_to
 from rootatlas.rootsys import (
     CartanType,
     CartanTypeError,
@@ -23,6 +25,7 @@ from rootatlas.rootsys import (
     simple_reflection,
     weyl_orbit,
 )
+from time_limit import time_limit
 
 
 def test_parse_single_component():
@@ -386,3 +389,108 @@ def test_cartan_type_hashable_and_ordered_components():
     t2 = CartanType((("A", 1), ("B", 2)))
     assert t1 == t2 and hash(t1) == hash(t2)
     assert str(parse_cartan_type("B2xA1")) == "B2xA1"  # order preserved
+
+
+def _reference_orbit(rs, w):
+    """The orbit closure as a plain loop over the sparse reflection table:
+    the traversal the generated kernel must keep, insertion order included."""
+    cols = rs.reflection_cols
+    seen = {w}
+    queue = [w]
+    while queue:
+        v = queue.pop()
+        for i in range(rs.rank):
+            c = v[i]
+            if c == 0:
+                continue
+            out = list(v)
+            for j, a in cols[i]:
+                out[j] -= c * a
+            t = tuple(out)
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return frozenset(seen)
+
+
+def _reference_straighten(rs, w):
+    """Straightening by a plain loop that reflects at the least coordinate."""
+    v = list(w)
+    sign = 1
+    while (c := min(v)) < 0:
+        for j, a in rs.reflection_cols[v.index(c)]:
+            v[j] -= c * a
+        sign = -sign
+    return tuple(v), sign
+
+
+def _orbit_size(rs, w):
+    """|W w| for dominant w, as |W| / |W_w| by the product over the positive
+    roots of (height + 1) / height (the Poincare polynomial at 1): only the
+    roots that pair nonzero with w are left after the division."""
+    num = den = 1
+    for p in rs.positive_root_data:
+        if sum(map(mul, p.coroot, w)):
+            height = sum(p.simple_coords)
+            num *= height + 1
+            den *= height
+    size, r = divmod(num, den)
+    assert r == 0
+    return size
+
+
+# every admissible irreducible type of rank <= 8, four products and three
+# types of rank 30, each with the largest coordinate sum of its weights;
+# an orbit larger than ORBIT_CAP is left out, so that the plain loops stay
+# fast on E8 and at rank 30
+KERNEL_CASES = [(str(t), 2) for t in admissible_irreducible_types(8)] + [
+    ("A1xA1", 2), ("A1xB2xG2", 2), ("G2xA2", 2), ("A2xB2", 2),
+    ("A30", 1), ("B30", 1), ("D30", 1),
+]
+ORBIT_CAP = 2000
+
+
+@pytest.mark.parametrize("name, bound", KERNEL_CASES)
+def test_generated_kernels_match_the_plain_loops(name, bound):
+    rs = build_root_system(parse_cartan_type(name))
+    rng = random.Random(name)
+    # each kept dominant weight and a seeded point of its orbit, most often
+    # not dominant, with the orbits the plain loop gives from each
+    expected = {}
+    for lam in dominant_weights_up_to(rs, bound):
+        size = _orbit_size(rs, lam)
+        if size > ORBIT_CAP:
+            continue
+        expected[lam] = _reference_orbit(rs, lam)
+        assert len(expected[lam]) == size
+        w = rng.choice(sorted(expected[lam]))
+        expected[w] = _reference_orbit(rs, w)
+    assert expected
+    weights = list(expected) + [
+        tuple(rng.randint(-4, 4) for _ in range(rs.rank)) for _ in range(100)
+    ]
+    # a wrong kernel may never stop, and a wrong orbit may grow without
+    # end: the straightenings run first, under a time limit
+    with time_limit(30):
+        for w in weights:
+            dom, sign, singular = dominant_representative(rs, w)
+            assert (dom, sign) == _reference_straighten(rs, w)
+            assert singular == (0 in dom)
+            pairings = [sum(map(mul, p.coroot, w)) for p in rs.positive_root_data]
+            assert sign == (-1) ** sum(x < 0 for x in pairings)
+        for w, orbit in expected.items():
+            # the same frozenset, iterated in the same order
+            assert list(weyl_orbit(rs, w)) == list(orbit)
+
+
+@pytest.mark.parametrize(
+    "column", [((0, 2), (1, -2.0)), ((0, 2), (1, -1.0)), ((0, 2.0), (1, -2))]
+)
+def test_kernel_sources_inline_only_int_coefficients(column):
+    # every coefficient is formatted with "d", so a non-int one never
+    # reaches the generated source
+    rs = build_root_system(parse_cartan_type("B2"))
+    cols = (column,) + rs.reflection_cols[1:]
+    bad = rootsys.RootSystem(**{**vars(rs), "reflection_cols": cols})
+    with pytest.raises(ValueError):
+        rootsys._reflection_kernels.__wrapped__(bad)
