@@ -19,7 +19,13 @@ from operator import neg
 
 from .lattice import FiniteAbelianGroup, cokernel, weight_class_data
 from .repring import dominant_weights_up_to, tensor_decompose
-from .rootsys import RootSystem, Weight, _check_weight, _require_dominant
+from .rootsys import (
+    RootSystem,
+    Weight,
+    _check_weight,
+    _require_dominant,
+    _require_ints,
+)
 
 
 @dataclass(frozen=True)
@@ -205,10 +211,11 @@ def tensor_equivalent(
     """
     for w in (a, b):
         _require_dominant(rs, w)
-    if type(bound) is not int or type(depth) is not int:
-        raise ValueError(f"bound {bound!r} and depth {depth!r} must be ints")
-    if depth < 1 or bound < 0:
-        raise ValueError("depth must be >= 1 and bound >= 0")
+    # one inline test on the path of every query; _require_ints runs only
+    # to raise, so a bad limit reads as it does everywhere else
+    if type(bound) is not int or type(depth) is not int or bound < 0 or depth < 1:
+        _require_ints(0, bound=bound)
+        _require_ints(1, depth=depth)
     if a == b:
         return (a,)
     data = weight_class_data(rs.cartan_type)

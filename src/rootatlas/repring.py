@@ -2,15 +2,17 @@
 
 Dimensions come from the Weyl product formula, weight multiplicities from
 the Freudenthal recursion, and tensor product decompositions from the
-signed straightening of rho-shifted weights.  Both the recursion and the
-decomposition straighten through the straightener that
-``rootsys._reflection_kernels`` generates for the root system, fetched once
-per call; the decomposition first drops every shifted weight on the wall
-of a simple root or of a root of height two, most of the weights of a
-large product, by a wall test read from cached bitmasks.  Two independent
-routes are deliberately kept: dimensions can be cross-checked as the total
-mass of the weight multiset, and decompositions against the convolution of
-weight multisets.  All values are exact integers.
+signed straightening of rho-shifted weights.  The recursion straightens
+through the straightener that ``rootsys._reflection_kernels`` generates
+for the root system, and the decomposition through its ``block`` kernel,
+which straightens the weights of one orbit and sums their signs in one
+call; each is fetched once per call.  The decomposition first drops every
+shifted weight on the wall of a simple root or of a root of height two,
+most of the weights of a large product, by a wall test read from cached
+bitmasks.  Two independent routes are deliberately kept: dimensions can be
+cross-checked as the total mass of the weight multiset, and decompositions
+against the convolution of weight multisets.  All values are exact
+integers.
 
 The recursion sums its root strings over classes of positive roots, not
 over each root (Moody and Patera, Fast recursion formula for weight
@@ -21,7 +23,13 @@ Weyl-invariant, so the roots of one of their orbits, each taken up to
 sign, have equal string sums through mu: one string per class, times the
 class size, gives the same exact sum.
 
-Eight ``functools.cache`` helpers keep work that repeats across calls,
+The walk that finds the dominant weights below the highest weight tries
+w - alpha for each positive root alpha at each weight w it reaches.  It
+first compares w with alpha at alpha's largest coordinate a = alpha_i: when
+w_i < a, w - alpha has a negative coordinate, and the root is skipped
+without building the weight.
+
+Ten ``functools.cache`` helpers keep work that repeats across calls,
 and every call returns a fresh dict, so a caller may change what it gets:
 
 - ``_dominant_table``: dominant multiplicities, keyed by (root system,
@@ -33,6 +41,9 @@ and every call returns a fresh dict, so a caller may change what it gets:
 - ``_weyl_dim``: Weyl dimensions, keyed by (root system, highest weight);
   each decomposition reads its two factors' dimensions there to pick the
   smaller factor;
+- ``_support_roots``: per root system, one (i, a, root, simple
+  coordinates) per positive root, in ``positive_root_data`` order, with a
+  = root[i] its largest coordinate, for the walk's pre-test;
 - ``_root_classes``: the classes of positive roots that the recursion sums
   over, keyed by (root system, zero coordinates of the weight): the roots
   of one norm and one set of simple coordinates off the zeros, or, with
@@ -48,6 +59,9 @@ and every call returns a fresh dict, so a caller may change what it gets:
   pairing a shifted weight can have there (1, or k_i + k_j), an int whose
   bit k is set when point k of the ``_orbit`` frozenset, in its iteration
   order, has -c there;
+- ``_wall_kernel``: per root system, the body of ``_orbit_walls``,
+  generated from ``_bonds`` with every coefficient and floor inlined: one
+  pass over the orbit that computes every column of each point;
 - ``_module``: the module V(mu), keyed by (root system, highest weight):
   the weights of ``weight_multiplicities`` as one tuple, in its item
   order, and one block (mu', m, start, end, masks) per dominant weight
@@ -71,8 +85,9 @@ block.  A C filter on the sums' values then gives the result.
 A decomposition reads the wall masks only for a block that the memo lacks.
 For a weight nu of V(mu), lam + rho + nu pairs to zero with alpha^vee
 exactly when the column of alpha is minus the pairing of lam + rho with
-alpha^vee, so it finds the weights it drops in one OR per column, then
-straightens the rest.  A block found in the memo reads no mask and
+alpha^vee, so it finds the weights it drops in one OR per column, then hands
+the rest to ``block``, which straightens them and drops those that reach a
+wall of a higher root.  A block found in the memo reads no mask and
 straightens nothing.  The masks and the memo's key order hold only for the
 cached frozensets: clear ``_orbit_walls``, ``_module`` and ``_orbit_sums``
 with ``_orbit``.  ``_module`` builds its weights through
@@ -87,7 +102,7 @@ from dominant are most of the singular ones a product straightens, so
 these walls catch nearly all of them, and a column per higher root costs
 more than the straightenings it saves.
 
-A ninth cache, ``_minus_rho``, takes rho off a straightened weight and
+An eleventh cache, ``_minus_rho``, takes rho off a straightened weight and
 keeps one tuple per highest weight, which the memo's keys and the relations
 callers keep share.  It is injective, so the memo's keys keep their order.
 """
@@ -103,6 +118,7 @@ from .rootsys import (
     PositiveRootData,
     RootSystem,
     Weight,
+    _listed,
     _reflection_kernels,
     _require_dominant,
     _require_ints,
@@ -151,8 +167,8 @@ def dominant_weight_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, 
 def _dominant_table(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     rank = rs.rank
     norms = rs.simple_norms
-    positive = rs.positive_root_data
     straighten = _reflection_kernels(rs)[1]
+    support = _support_roots(rs)
 
     # dominant weights below lam, with lam - mu expanded over simple roots
     diffs: dict[Weight, tuple[int, ...]] = {lam: (0,) * rank}
@@ -160,11 +176,14 @@ def _dominant_table(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     while queue:
         w = queue.pop()
         base = diffs[w]
-        for p in positive:
-            v = tuple(map(sub, w, p.root))
+        for i, a, root, coords in support:
+            # w - root has coordinate w[i] - a < 0 there: not dominant
+            if w[i] < a:
+                continue
+            v = tuple(map(sub, w, root))
             if v in diffs or min(v) < 0:
                 continue
-            diffs[v] = tuple(map(add, base, p.simple_coords))
+            diffs[v] = tuple(map(add, base, coords))
             queue.append(v)
 
     order = sorted(diffs, key=lambda w: (sum(diffs[w]), w))
@@ -203,6 +222,21 @@ def _dominant_table(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
             raise AssertionError("Freudenthal recursion must divide exactly")
         table[mu] = mult
     return table
+
+
+@functools.cache
+def _support_roots(
+    rs: RootSystem,
+) -> tuple[tuple[int, int, Weight, tuple[int, ...]], ...]:
+    """One (i, a, root, simple_coords) per positive root, in
+    ``positive_root_data`` order, with a = root[i] the root's largest
+    coordinate: a dominant w with w[i] < a has w - root off the dominant
+    cone."""
+    out = []
+    for p in rs.positive_root_data:
+        a = max(p.root)
+        out.append((p.root.index(a), a, p.root, p.simple_coords))
+    return tuple(out)
 
 
 @functools.cache
@@ -270,30 +304,49 @@ def _orbit_walls(rs: RootSystem, mu: Weight) -> _OrbitWalls:
     of ``_bonds``.  A shifted weight pairs to at least 1 with a simple
     coroot and to at least k_i + k_j with the coroot of alpha_i + alpha_j,
     so only the values -c at or below these are kept."""
-    orbit = _orbit(rs, mu)
-    cols = list(zip(*orbit))
-    floors = [1] * rs.rank
+    return _wall_kernel(rs)(_orbit(rs, mu))
+
+
+@functools.cache
+def _wall_kernel(rs: RootSystem):
+    """The body of ``_orbit_walls`` for ``rs``, generated from ``_bonds``
+    with every coefficient and floor inlined by the ``d`` format, which
+    refuses anything but an int.
+
+    One pass over the orbit computes each column inline and, for each value
+    kept, sets one 0/1 byte per position: a pass per column, or per value,
+    costs more once the bond columns take many values.  Each column's map
+    keeps its values in order of first occurrence."""
+    v = [f"v{j}" for j in range(rs.rank)]
+    cols = [(x, 1) for x in v]
     for i, j, ki, kj in _bonds(rs):
-        cols.append(
-            tuple(
-                map(add, map(mul, cols[i], repeat(ki)), map(mul, cols[j], repeat(kj)))
-            )
-        )
-        floors.append(ki + kj)
-    walls = []
-    for col, floor in zip(cols, floors):
-        # one 0/1 byte per position for each value kept, in a single pass:
-        # a pass per value costs more once the bond columns take many values
-        flags: dict[int, bytearray] = {}
-        for k, c in enumerate(col):
-            if c <= -floor:
-                if c not in flags:
-                    flags[c] = bytearray(len(col))
-                flags[c][k] = 1
-        walls.append(
-            {-c: int(b.translate(_TO_BINARY)[::-1], 2) for c, b in flags.items()}
-        )
-    return len(orbit), tuple(walls)
+        # "d" refuses a coefficient or a floor that is not an int
+        terms = [f"{k:d} * v{n}" for n, k in ((i, ki), (j, kj))]
+        cols.append((" + ".join(t.removeprefix("1 * ") for t in terms), ki + kj))
+    flags = [f"f{c}" for c in range(len(cols))]
+    lines = [
+        "def walls(orbit):",
+        "    size = len(orbit)",
+        f"    {_listed(flags)}= {'{}, ' * len(flags)}",
+        f"    for k, ({_listed(v)}) in enumerate(orbit):",
+    ]
+    # a KeyError comes only at a value's first point: cheaper than a test at each
+    for f, (x, floor) in zip(flags, cols):
+        lines += [
+            f"        x = {x}",
+            f"        if x <= -{floor:d}:",
+            f"            try: {f}[x][k] = 1",
+            f"            except KeyError: {f}[x] = b = bytearray(size); b[k] = 1",
+        ]
+    lines += [
+        "    return size, tuple(",
+        "        {-c: int(b.translate(binary)[::-1], 2) for c, b in f.items()}",
+        f"        for f in ({_listed(flags)})",
+        "    )",
+    ]
+    namespace = {"binary": _TO_BINARY}
+    exec("\n".join(lines), namespace)
+    return namespace["walls"]
 
 
 # a dominant weight mu' of a module, its multiplicity m, the slice
@@ -369,7 +422,7 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
         entry = memo.get((lam, dom))
         if entry is None:
             if pairings is None:
-                straighten = _reflection_kernels(rs)[1]
+                block = _reflection_kernels(rs)[2]
                 shifted = [c + 1 for c in lam]
                 pairings = shifted + [
                     ki * shifted[i] + kj * shifted[j] for i, j, ki, kj in _bonds(rs)
@@ -379,17 +432,11 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
             # the reflection in that root fixes it, so it is singular and
             # contributes nothing.  The cached masks of the orbit mark these
             # points for this lam, and compress skips them without running
-            # any bytecode for them
-            sums: dict[Weight, int] = {}
+            # any bytecode for them.  A weight off these walls may still lie
+            # on a higher root's wall; reflections keep it singular, so it
+            # straightens onto a simple one, and block drops it there
             selector = _off_walls(walls, pairings, end - start)
-            for nu in compress(keys[start:end], selector):
-                v, sign = straighten(map(add, shifted, nu))
-                # a weight off these walls may still lie on a higher root's
-                # wall; reflections keep it singular, so it straightens onto
-                # a simple one
-                if 0 in v:
-                    continue
-                sums[v] = sums.get(v, 0) + sign
+            sums = block(shifted, compress(keys[start:end], selector))
             # a key whose sum is 0 stays: it fixes where the key first
             # enters the product, and so the product's item order
             entry = memo[lam, dom] = tuple(map(_minus_rho, sums)), tuple(sums.values())

@@ -270,10 +270,16 @@ def dominant_representative(rs: RootSystem, w: Weight) -> tuple[Weight, int, boo
     return dom, sign, 0 in dom
 
 
+def _listed(items) -> str:
+    # "x, y, " reads as a tuple on either side of an assignment, rank 1 too
+    return "".join(f"{x}, " for x in items)
+
+
 @functools.cache
 def _reflection_kernels(rs: RootSystem):
-    """The orbit closure and the straightener of ``rs``, as two functions
-    generated from ``reflection_cols`` with every coefficient inlined.
+    """The orbit closure, the straightener and the block sum of ``rs``, as
+    three functions generated from ``reflection_cols`` with every
+    coefficient inlined.
 
     ``orbit(w)`` returns the frozenset ``weyl_orbit`` returns.  It keeps the
     traversal of a plain closure exactly: ``seen = {w}``, a stack popped
@@ -292,27 +298,27 @@ def _reflection_kernels(rs: RootSystem):
     coordinate is taken, singular ``w`` included: the end and the sign do
     not depend on the choice.
 
+    ``block(shifted, points)`` straightens ``shifted + n`` for each point n
+    of the iterable ``points``, in its order, by the same reflections, and
+    returns the dict from each regular dominant weight reached, in order of
+    first occurrence, to the sum of its signs.  A straightened weight is
+    dominant, so its coordinates are at least 0, and ``v0 and v1 and ...``
+    holds exactly when none is 0: the weight is kept exactly when it is
+    regular.
+
     Each reflection changes only the coordinates of the nonzero entries of
     its Cartan column, and each coefficient is written into the source
     with the ``d`` format, which refuses anything but an int.
     """
-    # "x, y, " reads as a tuple on either side of an assignment, rank 1 too
-    def listed(items) -> str:
-        return "".join(f"{x}, " for x in items)
-
     v = [f"v{j}" for j in range(rs.rank)]
     orbit = [
         "def orbit(w):",
         "    seen = {w}; queue = [w]; pop = queue.pop; push = queue.append; add = seen.add",
         "    while queue:",
-        f"        {listed(v)}= pop()",
+        f"        {_listed(v)}= pop()",
     ]
-    straighten = [
-        "def straighten(w):",
-        f"    {listed(v)}= w",
-        "    sign = 1",
-        "    while True:",
-    ]
+    # the straightening chain: s_i at the first negative coordinate v_i
+    chain = []
     for i, col in enumerate(rs.reflection_cols):
         # s_i sets v_j to v_j - a v_i for each (j, a) of column i
         moved = {}
@@ -323,19 +329,45 @@ def _reflection_kernels(rs: RootSystem):
                 moved[j] = f"-v{i}"
             else:
                 moved[j] = f"v{j} {'+' if a < 0 else '-'} {step}"
-        image = listed(moved.get(j, x) for j, x in enumerate(v))
+        image = _listed(moved.get(j, x) for j, x in enumerate(v))
         orbit += [
             f"        if v{i}:",
             f"            t = ({image})",
             "            if t not in seen: add(t); push(t)",
         ]
-        lhs, rhs = listed(v[j] for j in moved), listed(moved.values())
-        straighten.append(f"        {'el' if i else ''}if v{i} < 0: {lhs}= {rhs}")
+        lhs, rhs = _listed(v[j] for j in moved), _listed(moved.values())
+        chain.append(f"{'el' if i else ''}if v{i} < 0: {lhs}= {rhs}")
     orbit.append("    return frozenset(seen)")
-    straighten += [f"        else: return ({listed(v)}), sign", "        sign = -sign"]
+    straighten = [
+        "def straighten(w):",
+        f"    {_listed(v)}= w",
+        "    sign = 1",
+        "    while True:",
+        *(f"        {line}" for line in chain),
+        f"        else: return ({_listed(v)}), sign",
+        "        sign = -sign",
+    ]
+    s = [f"s{j}" for j in range(rs.rank)]
+    n = [f"n{j}" for j in range(rs.rank)]
+    block = [
+        "def block(shifted, points):",
+        f"    {_listed(s)}= shifted",
+        "    sums = {}; get = sums.get",
+        f"    for {_listed(n)}in points:",
+        f"        {_listed(v)}= {_listed(map('{} + {}'.format, s, n))}",
+        "        sign = 1",
+        "        while True:",
+        *(f"            {line}" for line in chain),
+        "            else: break",
+        "            sign = -sign",
+        f"        if {' and '.join(v)}:",
+        f"            t = ({_listed(v)})",
+        "            sums[t] = get(t, 0) + sign",
+        "    return sums",
+    ]
     namespace: dict = {}
-    exec("\n".join(orbit + straighten), namespace)
-    return namespace["orbit"], namespace["straighten"]
+    exec("\n".join(orbit + straighten + block), namespace)
+    return namespace["orbit"], namespace["straighten"], namespace["block"]
 
 
 _INT_ONLY = frozenset({int})

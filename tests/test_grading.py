@@ -404,8 +404,14 @@ def test_tensor_equivalent_validates_input():
     rs = _SYSTEMS["A2"]
     with pytest.raises(ValueError):
         tensor_equivalent(rs, (1, -1), (0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^depth 0 must be at least 1$"):
         tensor_equivalent(rs, (1, 0), (0, 0), depth=0)
+    with pytest.raises(ValueError, match="^bound -1 must be at least 0$"):
+        tensor_equivalent(rs, (1, 0), (0, 0), bound=-1)
+    with pytest.raises(ValueError, match="^bound True must be an int$"):
+        tensor_equivalent(rs, (1, 0), (0, 0), bound=True)
+    with pytest.raises(ValueError, match="^depth 3.0 must be an int$"):
+        tensor_equivalent(rs, (1, 0), (0, 0), depth=3.0)
     # the input checks run before the class check: these pairs lie in
     # different classes of Z/4
     a3 = _SYSTEMS["A3"]

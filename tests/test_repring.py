@@ -52,6 +52,8 @@ def _cold_caches():
         repring._weyl_dim,
         repring._root_classes,
         repring._bonds,
+        repring._wall_kernel,
+        repring._support_roots,
         repring._orbit_walls,
         repring._module,
         repring._orbit_sums,
@@ -589,22 +591,24 @@ def _count_calls(monkeypatch, module, name):
 
 
 def _count_straightenings(monkeypatch):
-    """Record the calls of every straightener that repring fetches from
-    ``_reflection_kernels`` for the rest of the test."""
-    calls = []
+    """Record every point that the ``block`` kernel, fetched by repring from
+    ``_reflection_kernels``, receives for the rest of the test: the points
+    that a decomposition straightens."""
+    points = []
     kernels = repring._reflection_kernels
 
     def fetch(rs):
-        orbit, straighten = kernels(rs)
+        orbit, straighten, block = kernels(rs)
 
-        def counted(w):
-            calls.append(w)
-            return straighten(w)
+        def counted(shifted, block_points):
+            block_points = list(block_points)
+            points.extend(block_points)
+            return block(shifted, block_points)
 
-        return orbit, counted
+        return orbit, straighten, counted
 
     monkeypatch.setattr(repring, "_reflection_kernels", fetch)
-    return calls
+    return points
 
 
 def test_repeated_calls_hit_the_caches(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootatlas import rootsys
+from rootatlas import repring, rootsys
 from rootatlas.classify import admissible_irreducible_types
 from rootatlas.repring import dominant_weights_up_to
 from rootatlas.rootsys import (
@@ -424,6 +424,36 @@ def _reference_straighten(rs, w):
     return tuple(v), sign
 
 
+def _reference_block(rs, shifted, points):
+    """The signed count of the regular dominant weights that ``shifted + n``
+    straightens to, n over ``points``, in order of first occurrence."""
+    sums = {}
+    for n in points:
+        v, sign = _reference_straighten(rs, [s + c for s, c in zip(shifted, n)])
+        if 0 not in v:
+            sums[v] = sums.get(v, 0) + sign
+    return sums
+
+
+def _reference_walls(rs, orbit):
+    """The wall masks of ``repring._orbit_walls``, by one pass per column:
+    the rank coordinates, then k_i v_i + k_j v_j per bond, with the floors
+    1 and k_i + k_j."""
+    cols = list(zip(*orbit))
+    floors = [1] * rs.rank
+    for i, j, ki, kj in repring._bonds(rs):
+        cols.append(tuple(ki * a + kj * b for a, b in zip(cols[i], cols[j])))
+        floors.append(ki + kj)
+    walls = []
+    for col, floor in zip(cols, floors):
+        flags = {}
+        for k, c in enumerate(col):
+            if c <= -floor:
+                flags.setdefault(c, bytearray(len(col)))[k] = 1
+        walls.append({-c: int(b[::-1].hex()[1::2], 2) for c, b in flags.items()})
+    return walls
+
+
 def _orbit_size(rs, w):
     """|W w| for dominant w, as |W| / |W_w| by the product over the positive
     roots of (height + 1) / height (the Poincare polynomial at 1): only the
@@ -466,9 +496,8 @@ def test_generated_kernels_match_the_plain_loops(name, bound):
         w = rng.choice(sorted(expected[lam]))
         expected[w] = _reference_orbit(rs, w)
     assert expected
-    weights = list(expected) + [
-        tuple(rng.randint(-4, 4) for _ in range(rs.rank)) for _ in range(100)
-    ]
+    seeded = [tuple(rng.randint(-4, 4) for _ in range(rs.rank)) for _ in range(100)]
+    weights = list(expected) + seeded
     # a wrong kernel may never stop, and a wrong orbit may grow without
     # end: the straightenings run first, under a time limit
     with time_limit(30):
@@ -481,6 +510,30 @@ def test_generated_kernels_match_the_plain_loops(name, bound):
         for w, orbit in expected.items():
             # the same frozenset, iterated in the same order
             assert list(weyl_orbit(rs, w)) == list(orbit)
+            # the same masks, each column's values in the same order
+            size, walls = repring._wall_kernel(rs)(weyl_orbit(rs, w))
+            assert (size, [list(d.items()) for d in walls]) == (
+                len(orbit),
+                [list(d.items()) for d in _reference_walls(rs, list(orbit))],
+            )
+        # the block sums of each orbit and of the seeded points, shifted by
+        # a seeded dominant weight plus rho; on A1, A2 and G2 also an orbit
+        # and shifts with coordinates past 255
+        block = rootsys._reflection_kernels(rs)[2]
+        orbits = [list(orbit) for orbit in expected.values()]
+        orbits.append(seeded)
+        tops = [bound]
+        if name in ("A1", "A2", "G2"):
+            big = tuple(rng.randint(256, 999) for _ in range(rs.rank))
+            orbits.append(list(_reference_orbit(rs, big)))
+            tops.append(999)
+        for top in tops:
+            for points in orbits:
+                shifted = [rng.randint(0, top) + 1 for _ in range(rs.rank)]
+                got = block(shifted, iter(points))
+                assert list(got.items()) == list(
+                    _reference_block(rs, shifted, points).items()
+                )
 
 
 @pytest.mark.parametrize(
@@ -488,9 +541,19 @@ def test_generated_kernels_match_the_plain_loops(name, bound):
 )
 def test_kernel_sources_inline_only_int_coefficients(column):
     # every coefficient is formatted with "d", so a non-int one never
-    # reaches the generated source
+    # reaches the generated source: straighten and block share the chain
+    # of reflections that refuses it
     rs = build_root_system(parse_cartan_type("B2"))
     cols = (column,) + rs.reflection_cols[1:]
     bad = rootsys.RootSystem(**{**vars(rs), "reflection_cols": cols})
     with pytest.raises(ValueError):
         rootsys._reflection_kernels.__wrapped__(bad)
+
+
+@pytest.mark.parametrize("bond", [(0, 1, 2.0, 1), (0, 1, 1.0, 1), (0, 1, 1, 1.0)])
+def test_wall_kernel_inlines_only_int_coefficients(monkeypatch, bond):
+    # the wall kernel formats each bond coefficient and floor with "d" too
+    rs = build_root_system(parse_cartan_type("B2"))
+    monkeypatch.setattr(repring, "_bonds", lambda _: (bond,))
+    with pytest.raises(ValueError):
+        repring._wall_kernel.__wrapped__(rs)
