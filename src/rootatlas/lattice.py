@@ -39,34 +39,33 @@ def smith_normal_form(m, *, _right=True) -> tuple[Matrix, Matrix, Matrix]:
     Returns (left, diag, right) with left*m*right == diag, both transforms
     unimodular, and the diagonal nonnegative with each entry dividing the
     next.  Works for any shape, including empty matrices; rows of unequal
-    length raise ValueError.  Inside this module, ``_right=False`` returns
-    None for right and skips building it (columns x columns: one per
-    relation of a cokernel); left and diag come from the same operations
-    either way.
+    length, or an entry whose type is not exactly int (bool and float
+    included), raise ValueError.  Inside this module, ``_right=False``
+    returns None for right and skips building it (columns x columns: one
+    per relation of a cokernel); left and diag come from the same
+    operations either way.
+
+    The pivot is the first entry of least magnitude in row-major order
+    over rows t onwards.  Those rows are zero left of column t, so a unit
+    is found by C scans of whole rows; only when no row holds one are the
+    magnitudes compared.  With no right transform, a unit pivot is
+    cleared in one step after its row operations.
     """
     a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if any(len(row) != cols for row in a):
         raise ValueError(f"rows of unequal lengths {[len(row) for row in a]}")
+    _require_int_entries(a)
     left = [[int(i == j) for j in range(rows)] for i in range(rows)]
     # with no rows to update, the column operations touch only ``a``
     right = [[int(i == j) for j in range(cols)] for i in range(cols)] if _right else []
 
     for t in range(min(rows, cols)):
         while True:
-            # the first entry of least magnitude in row-major order; no
-            # nonzero entry is smaller than a unit, so the search stops there
-            best, i = 0, t
-            for k in range(t, rows):
-                v = min(map(abs, filter(None, a[k][t:])), default=0)
-                if v and (not best or v < best):
-                    best, i = v, k
-                    if v == 1:
-                        break
-            if not best:
+            i, j = _pivot(a, t)
+            if i is None:
                 break
-            j = t + list(map(abs, a[i][t:])).index(best)
             a[t], a[i] = a[i], a[t]
             left[t], left[i] = left[i], left[t]
             if j != t:
@@ -79,6 +78,15 @@ def smith_normal_form(m, *, _right=True) -> tuple[Matrix, Matrix, Matrix]:
                 if q := a[k][t] // p:
                     a[k] = [x - q * y for x, y in zip(a[k], top)]
                     left[k] = [x - q * y for x, y in zip(left[k], top_left)]
+            if not _right and (p == 1 or p == -1):
+                # the column pass below would give the same, as both of
+                # these hold: no right transform is tracked, and the row
+                # operations left every other row zero in column t, so it
+                # would change row t of ``a`` alone; and p = +-1 over int
+                # entries, so each x - (x // p) * p is 0 and row t is p*e_t
+                a[t] = [0] * cols
+                a[t][t] = p
+                break
             qs = [0] * (t + 1) + [x // p for x in top[t + 1:]]
             for mat in (a, right):
                 for k, row in enumerate(mat):
@@ -102,6 +110,39 @@ def smith_normal_form(m, *, _right=True) -> tuple[Matrix, Matrix, Matrix]:
         tuple(tuple(r) for r in a),
         tuple(tuple(r) for r in right) if _right else None,
     )
+
+
+def _pivot(a, t: int) -> tuple[int | None, int | None]:
+    """(row, column) of the first entry of least magnitude, in row-major
+    order, in rows t onwards of ``a``, or (None, None) when they are zero.
+
+    Every entry of those rows left of column t is zero, so whole rows are
+    scanned.  No nonzero entry is smaller than a unit: the first row that
+    holds one, at its first unit, is the answer, found by ``in`` and
+    ``operator.indexOf`` in C; magnitudes are compared only when no row
+    holds one."""
+    for i in range(t, len(a)):
+        row = a[i]
+        if 1 in row or -1 in row:
+            return i, operator.indexOf(map(abs, row), 1)
+    best, i = 0, None
+    for k in range(t, len(a)):
+        v = min(map(abs, filter(None, a[k])), default=0)
+        if v and (not best or v < best):
+            best, i = v, k
+    if i is None:
+        return None, None
+    return i, operator.indexOf(map(abs, a[i]), best)
+
+
+def _require_int_entries(rows) -> None:
+    # x - (x // p) * p is 0 for a unit p only over ints, and 1.0 == True == 1
+    # would pass the unit scan.  Counting a row's types runs in C, with no
+    # bytecode per entry
+    for row in rows:
+        if list(map(type, row)).count(int) != len(row):
+            bad = next(x for x in row if type(x) is not int)
+            raise ValueError(f"matrix entry {bad!r} is not an int")
 
 
 @dataclass(frozen=True)
@@ -213,11 +254,13 @@ def hermite_basis(rows, k: int) -> Matrix:
     Each row is inserted into an echelon table with one slot per column: an
     empty slot takes it, and at a full slot Euclid down that column leaves
     the gcd in the slot and the row walks on.  The Hermite form of a lattice
-    is unique, so the route taken cannot change the result."""
+    is unique, so the route taken cannot change the result.  An entry whose
+    type is not exactly int raises ValueError."""
     work = [list(r) for r in rows]
     for r in work:
         if len(r) != k:
             raise ValueError(f"row {tuple(r)} has length {len(r)}, expected {k}")
+    _require_int_entries(work)
     basis = [None] * k
     for v in work:
         for col in range(k):

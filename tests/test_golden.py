@@ -22,6 +22,11 @@ CASES = {
     "grade_d4_b3.json": "grade D4 --bound 3 --format json",
     # a Z/5 class map read from the left transform of a 35 x 2234 Smith form
     "grade_a4_b3.json": "grade A4 --bound 3 --format json",
+    # class maps over non-cyclic quotients, where the Smith form runs its
+    # non-unit pivots: five pivots of 2 on (Z/2)^5, and pivots of 2 and 4
+    # on Z/4 x Z/2
+    "grade_a1x5_b2.json": "grade A1xA1xA1xA1xA1 --bound 2 --format json",
+    "grade_a3xa1_b3.json": "grade A3xA1 --bound 3 --format json",
     "classify_d4.json": "classify D4 --format json",
     # 67 diagrams whose isogeny order is not a chain: labels and cover edges
     "classify_a1x4.json": "classify A1xA1xA1xA1 --format json",

@@ -167,6 +167,127 @@ def test_snf_transforms_pinned():
     assert digest == SNF_CORPUS_SHA256
 
 
+def _reference_smith(m, *, _right=True):
+    """The Smith form loop before the whole-row pivot scan and the one-step
+    unit clear, kept verbatim as the oracle."""
+    a = [list(row) for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    if any(len(row) != cols for row in a):
+        raise ValueError(f"rows of unequal lengths {[len(row) for row in a]}")
+    left = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    # with no rows to update, the column operations touch only ``a``
+    right = [[int(i == j) for j in range(cols)] for i in range(cols)] if _right else []
+
+    for t in range(min(rows, cols)):
+        while True:
+            # the first entry of least magnitude in row-major order; no
+            # nonzero entry is smaller than a unit, so the search stops there
+            best, i = 0, t
+            for k in range(t, rows):
+                v = min(map(abs, filter(None, a[k][t:])), default=0)
+                if v and (not best or v < best):
+                    best, i = v, k
+                    if v == 1:
+                        break
+            if not best:
+                break
+            j = t + list(map(abs, a[i][t:])).index(best)
+            a[t], a[i] = a[i], a[t]
+            left[t], left[i] = left[i], left[t]
+            if j != t:
+                for row in itertools.chain(a, right):
+                    row[t], row[j] = row[j], row[t]
+            # clear the pivot column with multiples of row t, then the pivot
+            # row with multiples of column t; neither pass changes its source
+            p, top, top_left = a[t][t], a[t], left[t]
+            for k in range(t + 1, rows):
+                if q := a[k][t] // p:
+                    a[k] = [x - q * y for x, y in zip(a[k], top)]
+                    left[k] = [x - q * y for x, y in zip(left[k], top_left)]
+            qs = [0] * (t + 1) + [x // p for x in top[t + 1:]]
+            for mat in (a, right):
+                for k, row in enumerate(mat):
+                    if c := row[t]:
+                        mat[k] = [x - q * c for x, q in zip(row, qs)]
+            if any(row[t] for row in a[t + 1:]) or any(a[t][t + 1:]):
+                continue
+            # enforce divisibility of the remaining submatrix by the pivot
+            strays = (k for k in range(t + 1, rows) if any(x % p for x in a[k][t + 1:]))
+            stray = next(strays, None) if abs(p) > 1 else None
+            if stray is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[stray])]
+            left[t] = [x + y for x, y in zip(left[t], left[stray])]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            left[t] = [-x for x in left[t]]
+
+    return (
+        tuple(tuple(r) for r in left),
+        tuple(tuple(r) for r in a),
+        tuple(tuple(r) for r in right) if _right else None,
+    )
+
+
+def _smith_oracle_corpus():
+    """Seeded matrices from 0 x 0 to 6 x 8 over {0, +-1, +-2, +-3, +-6, +-9}
+    at varied density: half draw no unit, so non-unit pivots, strays and
+    all-zero steps occur alongside unit ones."""
+    rng = random.Random("smith oracle")
+    units = (0, 1, -1, 2, -2, 3, -3, 6, -6, 9, -9)
+    for n in range(2400):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 8)
+        values = units if n % 2 else units[3:]
+        density = rng.choice((0.1, 0.3, 0.5, 0.8, 1.0))
+        yield [
+            [rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ]
+
+
+# every irreducible type of rank <= 4, at bounds 1 and 2, and two products
+SMITH_ORACLE_TYPES = [
+    (name, bound)
+    for name in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4",
+                 "G2", "F4", "A1xA1xA1", "A3xA1")
+    for bound in ((2,) if "x" in name else (1, 2))
+]
+
+
+def test_snf_matches_the_reference_loop():
+    for m in _smith_oracle_corpus():
+        for right in (True, False):
+            assert smith_normal_form(m, _right=right) == _reference_smith(m, _right=right), m
+
+
+@pytest.mark.parametrize("name, bound", SMITH_ORACLE_TYPES + [("F4", 3)])
+def test_snf_matches_the_reference_loop_on_relation_matrices(name, bound):
+    rs = build_root_system(parse_cartan_type(name))
+    m = _relation_matrix(grading_presentation(rs, bound))
+    # F4's bound-3 right transform would be 13,880 x 13,880
+    for right in (True, False) if bound < 3 else (False,):
+        assert smith_normal_form(m, _right=right) == _reference_smith(m, _right=right)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: smith_normal_form([[2.5]]),
+        lambda: smith_normal_form([[1, 0], [0, 1.0]], _right=False),
+        lambda: smith_normal_form([[True]]),
+        lambda: cokernel([[2.5]], 1),
+        lambda: cokernel([[1, -1.0]], 1),
+        lambda: hermite_basis([[0.5]], 1),
+        lambda: hermite_basis([[1, False], [0, 2]], 2),
+        lambda: subgroup_from_generators(FiniteAbelianGroup((4,)), [(2.0,)]),
+    ],
+)
+def test_normal_forms_refuse_entries_that_are_not_ints(call):
+    with pytest.raises(ValueError, match=r"^matrix entry (\S+) is not an int$"):
+        call()
+
+
 def test_snf_rejects_ragged_rows():
     with pytest.raises(ValueError, match=r"unequal lengths \[1, 2\]"):
         smith_normal_form([[1], [2, 3]])
