@@ -225,12 +225,8 @@ class WeightClassData:
     def class_of(self, w: Weight) -> tuple[int, ...]:
         if len(w) != self.rank:
             raise ValueError(f"weight {w} has length {len(w)}, expected {self.rank}")
-        # sum(map(mul, row, w)) % d for each row and its factor d, in C
-        products = map(
-            map, itertools.repeat(operator.mul), self.torsion_rows, itertools.repeat(w)
-        )
-        sums = map(sum, products)
-        return tuple(map(operator.mod, sums, self.group.invariant_factors))
+        rows, factors = self.torsion_rows, self.group.invariant_factors
+        return tuple([sum(map(operator.mul, row, w)) % d for row, d in zip(rows, factors)])
 
 
 @functools.cache

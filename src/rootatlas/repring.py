@@ -61,7 +61,8 @@ and every call returns a fresh dict, so a caller may change what it gets:
   order, has -c there;
 - ``_wall_kernel``: per root system, the body of ``_orbit_walls``,
   generated from ``_bonds`` with every coefficient and floor inlined: one
-  pass over the orbit that computes every column of each point;
+  pass over the orbit that tests each coordinate of a point against 0 and
+  computes each of its bond columns once;
 - ``_module``: the module V(mu), keyed by (root system, highest weight):
   the weights of ``weight_multiplicities`` as one tuple, in its item
   order, and one block (mu', m, start, end, masks) per dominant weight
@@ -110,7 +111,8 @@ callers keep share.  It is injective, so the memo's keys keep their order.
 from __future__ import annotations
 
 import functools
-from functools import reduce
+from collections import defaultdict
+from functools import partial, reduce
 from itertools import compress, repeat
 from operator import add, mul, or_, sub
 
@@ -313,38 +315,36 @@ def _wall_kernel(rs: RootSystem):
     with every coefficient and floor inlined by the ``d`` format, which
     refuses anything but an int.
 
-    One pass over the orbit computes each column inline and, for each value
+    One pass over the orbit tests each column inline and, for each value
     kept, sets one 0/1 byte per position: a pass per column, or per value,
-    costs more once the bond columns take many values.  Each column's map
-    keeps its values in order of first occurrence."""
+    costs more once the bond columns take many values.  A simple column is
+    a coordinate, whose floor 1 makes its test ``v_i < 0``; a bond column
+    is computed once, in the test, by an assignment expression.  Each
+    column's values map to byte strings through a ``defaultdict``, which
+    makes a value's string at its first point and so keeps the values in
+    order of first occurrence."""
     v = [f"v{j}" for j in range(rs.rank)]
-    cols = [(x, 1) for x in v]
-    for i, j, ki, kj in _bonds(rs):
-        # "d" refuses a coefficient or a floor that is not an int
-        terms = [f"{k:d} * v{n}" for n, k in ((i, ki), (j, kj))]
-        cols.append((" + ".join(t.removeprefix("1 * ") for t in terms), ki + kj))
-    flags = [f"f{c}" for c in range(len(cols))]
+    flags = [f"f{c}" for c in range(rs.rank + len(_bonds(rs)))]
     lines = [
         "def walls(orbit):",
         "    size = len(orbit)",
-        f"    {_listed(flags)}= {'{}, ' * len(flags)}",
+        "    row = partial(bytearray, size)",
+        f"    {_listed(flags)}= {_listed(['defaultdict(row)'] * len(flags))}",
         f"    for k, ({_listed(v)}) in enumerate(orbit):",
     ]
-    # a KeyError comes only at a value's first point: cheaper than a test at each
-    for f, (x, floor) in zip(flags, cols):
-        lines += [
-            f"        x = {x}",
-            f"        if x <= -{floor:d}:",
-            f"            try: {f}[x][k] = 1",
-            f"            except KeyError: {f}[x] = b = bytearray(size); b[k] = 1",
-        ]
+    lines += map("        if {1} < 0: {0}[{1}][k] = 1".format, flags, v)
+    for f, (i, j, ki, kj) in zip(flags[rs.rank :], _bonds(rs)):
+        # "d" refuses a coefficient or a floor that is not an int
+        terms = [f"{k:d} * v{n}" for n, k in ((i, ki), (j, kj))]
+        x = " + ".join(t.removeprefix("1 * ") for t in terms)
+        lines.append(f"        if (x := {x}) <= -{ki + kj:d}: {f}[x][k] = 1")
     lines += [
         "    return size, tuple(",
         "        {-c: int(b.translate(binary)[::-1], 2) for c, b in f.items()}",
         f"        for f in ({_listed(flags)})",
         "    )",
     ]
-    namespace = {"binary": _TO_BINARY}
+    namespace = {"binary": _TO_BINARY, "defaultdict": defaultdict, "partial": partial}
     exec("\n".join(lines), namespace)
     return namespace["walls"]
 

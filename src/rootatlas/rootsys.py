@@ -253,7 +253,29 @@ def simple_reflection(rs: RootSystem, i: int, w: Weight) -> Weight:
 def weyl_orbit(rs: RootSystem, w: Weight) -> frozenset[Weight]:
     """The full Weyl group orbit of ``w``, by closure under simple reflections."""
     _check_weight(rs, w)
-    return _reflection_kernels(rs)[0](w)
+    powers, steps = _orbit_keys(rs, sum(map(abs, w)))
+    return _reflection_kernels(rs)[0](w, sum(map(mul, w, powers)), *steps)
+
+
+@functools.cache
+def _orbit_keys(rs: RootSystem, size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The powers B**j of the odd base B that packs the orbit of a weight
+    whose coordinates have absolute sum ``size``, and the key sum_j a_j B**j
+    of each simple root alpha_i = (a_j): the step of the reflection s_i.
+    The key of a point x is sum_j x_j B**j.
+
+    Every coordinate of the orbit of w is <w, beta^vee> for a coroot beta^vee
+    = +-sum c_k alpha_k^vee with 0 <= c_k <= M, M the largest coefficient of
+    a positive coroot over the simple coroots (1 for A, 2 for B, C and D, 3
+    for G2 and E6, 4 for F4 and E7, 6 for E8).  So its absolute value is at
+    most M * size < B / 2 with B = 2 M size + 3, and the coordinates of a
+    point are the balanced base-B digits of its key, which are unique:
+    distinct points have distinct keys."""
+    bound = max(max(p.coroot) for p in rs.positive_root_data)
+    base = 2 * bound * size + 3
+    powers = tuple(base**j for j in range(rs.rank))
+    steps = tuple(sum(a * powers[j] for j, a in col) for col in rs.reflection_cols)
+    return powers, steps
 
 
 def dominant_representative(rs: RootSystem, w: Weight) -> tuple[Weight, int, bool]:
@@ -281,13 +303,26 @@ def _reflection_kernels(rs: RootSystem):
     three functions generated from ``reflection_cols`` with every
     coefficient inlined.
 
-    ``orbit(w)`` returns the frozenset ``weyl_orbit`` returns.  It keeps the
-    traversal of a plain closure exactly: ``seen = {w}``, a stack popped
-    from its end, the reflections s_i by ascending i with a zero coordinate
-    skipped (s_i fixes it), and ``frozenset(seen)``.  A frozenset iterates
-    in an order that depends on the order of insertion, and that order is
-    the item order of ``weight_multiplicities`` and ``tensor_decompose``, so
-    no other traversal may replace this one.
+    ``orbit(w, key, step0, step1, ...)`` returns the frozenset
+    ``weyl_orbit`` returns.  It keeps the traversal of a plain closure
+    exactly: ``seen = {w}``, a stack popped from its end, the reflections
+    s_i by ascending i with a zero coordinate skipped (s_i fixes it), and
+    ``frozenset(seen)``.  A frozenset iterates in an order that depends on
+    the order of insertion, and that order is the item order of
+    ``weight_multiplicities`` and ``tensor_decompose``, so no other
+    traversal may replace this one.
+
+    Only the test "seen?" differs: it asks it of one packed int per point,
+    kept on a second stack beside the point.  ``key`` is the key of w over
+    the base B of ``_orbit_keys`` and ``step_i`` the key of alpha_i, so s_i
+    takes the key k of a point v to k - v_i * step_i, one multiply-subtract,
+    and the image tuple is built only when its key is new.  Distinct points
+    of the orbit have distinct keys, so a key is new exactly when its point
+    is, and ``seen`` gets the same tuples in the same order as the plain
+    closure's.  B is odd: a set finds an int key's slot from its low bits,
+    and every power of an odd base reaches them, while over a power of two
+    they hold only the first coordinates, and keys that differ only further
+    on collide there.
 
     ``straighten(w)`` takes any iterable of ``rank`` ints and returns the
     dominant weight in the Weyl orbit of ``w`` and the sign (-1)**k of the k
@@ -311,11 +346,13 @@ def _reflection_kernels(rs: RootSystem):
     with the ``d`` format, which refuses anything but an int.
     """
     v = [f"v{j}" for j in range(rs.rank)]
+    steps = [f"step{j}" for j in range(rs.rank)]
     orbit = [
-        "def orbit(w):",
+        f"def orbit(w, key, {_listed(steps)}):",
         "    seen = {w}; queue = [w]; pop = queue.pop; push = queue.append; add = seen.add",
+        "    keys = {key}; stack = [key]; kpop = stack.pop; kpush = stack.append; note = keys.add",
         "    while queue:",
-        f"        {_listed(v)}= pop()",
+        f"        {_listed(v)}= pop(); k = kpop()",
     ]
     # the straightening chain: s_i at the first negative coordinate v_i
     chain = []
@@ -332,8 +369,8 @@ def _reflection_kernels(rs: RootSystem):
         image = _listed(moved.get(j, x) for j, x in enumerate(v))
         orbit += [
             f"        if v{i}:",
-            f"            t = ({image})",
-            "            if t not in seen: add(t); push(t)",
+            f"            q = k - v{i} * step{i}",
+            f"            if q not in keys: note(q); t = ({image}); add(t); push(t); kpush(q)",
         ]
         lhs, rhs = _listed(v[j] for j in moved), _listed(moved.values())
         chain.append(f"{'el' if i else ''}if v{i} < 0: {lhs}= {rhs}")
@@ -354,7 +391,7 @@ def _reflection_kernels(rs: RootSystem):
         f"    {_listed(s)}= shifted",
         "    sums = {}; get = sums.get",
         f"    for {_listed(n)}in points:",
-        f"        {_listed(v)}= {_listed(map('{} + {}'.format, s, n))}",
+        *map("        {} = {} + {}".format, v, s, n),
         "        sign = 1",
         "        while True:",
         *(f"            {line}" for line in chain),

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootatlas import lattice
+from rootatlas import admissible_irreducible_types, lattice
 from rootatlas.grading import grading_presentation
 from rootatlas.lattice import (
     Diagram,
@@ -702,6 +703,30 @@ def test_class_arithmetic_is_modular(name, factors):
             sum(r * c for r, c in zip(row, w)) % d
             for row, d in zip(data.torsion_rows, factors)
         )
+
+
+def _nested_map_class(data, w):
+    """``class_of`` as the nested C maps it was first written with."""
+    products = map(
+        map, itertools.repeat(operator.mul), data.torsion_rows, itertools.repeat(w)
+    )
+    return tuple(map(operator.mod, map(sum, products), data.group.invariant_factors))
+
+
+@pytest.mark.parametrize(
+    "name",
+    [str(t) for t in admissible_irreducible_types(4)] + ["A1xA1xA1", "A3xA1"],
+)
+def test_class_of_matches_the_nested_map_formula(name):
+    # every type of rank <= 4, D4's two factors among them, and two products
+    # with non-cyclic quotients
+    t = parse_cartan_type(name)
+    data = weight_class_data(t)
+    rng = random.Random(name)
+    weights = [tuple(rng.randint(-9, 9) for _ in range(t.rank)) for _ in range(200)]
+    weights += [(0,) * t.rank, (10**6,) * t.rank]
+    for w in weights:
+        assert data.class_of(w) == _nested_map_class(data, w)
 
 
 def test_class_arithmetic_refuses_wrong_lengths():

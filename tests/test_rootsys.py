@@ -475,9 +475,23 @@ def _orbit_size(rs, w):
 # fast on E8 and at rank 30
 KERNEL_CASES = [(str(t), 2) for t in admissible_irreducible_types(8)] + [
     ("A1xA1", 2), ("A1xB2xG2", 2), ("G2xA2", 2), ("A2xB2", 2),
+    ("A1xG2", 2), ("B2xG2", 2),
     ("A30", 1), ("B30", 1), ("D30", 1),
 ]
 ORBIT_CAP = 2000
+
+# more weights for the orbit closure, at the edges of its packed keys:
+# negative and non-dominant weights, a coordinate of 10**6, the zero weight,
+# products whose factors have different largest coroot coefficients M, and
+# E8, whose M is 6.  Over a base that leaves M out, two points of G2's
+# (1, 2) orbit share a key, and the closure loses them
+EDGE_WEIGHTS = {
+    "A1": [(0,), (-3,), (10**6,)],
+    "G2": [(1, 2), (-1, -2), (-(10**6), 1)],
+    "A1xG2": [(0, 1, 2), (-5, -1, -2), (10**6, 0, 0), (1, -(10**6), 3)],
+    "B2xG2": [(0, 0, 0, 0), (0, 0, 1, 2), (1, -2, -1, -2), (0, 10**6, 0, -1)],
+    "E8": [(0,) * 8, (0,) * 7 + (-1,), (0,) * 6 + (1, -2), (0,) * 6 + (-(10**6), 10**6)],
+}
 
 
 @pytest.mark.parametrize("name, bound", KERNEL_CASES)
@@ -494,6 +508,8 @@ def test_generated_kernels_match_the_plain_loops(name, bound):
         expected[lam] = _reference_orbit(rs, lam)
         assert len(expected[lam]) == size
         w = rng.choice(sorted(expected[lam]))
+        expected[w] = _reference_orbit(rs, w)
+    for w in EDGE_WEIGHTS.get(name, ()):
         expected[w] = _reference_orbit(rs, w)
     assert expected
     seeded = [tuple(rng.randint(-4, 4) for _ in range(rs.rank)) for _ in range(100)]
