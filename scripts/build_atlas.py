@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Build the classification atlas and write it as JSON.
+"""Build the classification atlas and write it as JSON, the same bytes as
+`rootatlas atlas --format json`.
 
-Per-entry wall time goes to stderr.  README.md's paragraph on the default
-atlas gives its measured time and memory, where the time goes, and the
-faster --bound 2 build.
+Like the atlas verb, each entry's grading stops at the first tensor
+relations that present P/Q.  Per-entry wall time goes to stderr.
+README.md's paragraph on the default atlas gives its measured time and
+memory and where the time goes.
 """
 
 import argparse
@@ -32,7 +34,9 @@ def main() -> None:
     entries = []
     for t in admissible_irreducible_types(args.max_rank):
         t0 = time.monotonic()
-        entry = build_entry(t, args.bound, args.enumeration_cap, args.grading_dim_cap)
+        entry = build_entry(
+            t, args.bound, args.enumeration_cap, args.grading_dim_cap, _early=True
+        )
         entries.append(entry)
         status = entry.error or entry.grading.error or "ok"
         print(f"{t}: {time.monotonic() - t0:.2f}s ({status})", file=sys.stderr)

@@ -9,15 +9,19 @@ for byte across runs with equal parameters.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
+from math import prod
 from operator import and_
 
 from .grading import (
     GradingPresentation,
+    TensorRelation,
     grading_presentation,
     matches_fundamental_group,
+    universal_grading_group,
 )
 from .lattice import (
     DEFAULT_ENUMERATION_CAP,
@@ -27,15 +31,18 @@ from .lattice import (
     FiniteAbelianGroup,
     Subgroup,
     _diagrams,
+    _insert_row,
     center_char_group,
     diagrams,
     fundamental_group,
     irreducible_components,
 )
-from .repring import dominant_weights_up_to, weyl_dim
+from .repring import dominant_weights_up_to, tensor_decompose, weyl_dim
 from .rootsys import (
     CartanType,
     CartanTypeError,
+    RootSystem,
+    Weight,
     _require_ints,
     build_root_system,
     parse_cartan_type,
@@ -139,8 +146,51 @@ def hasse_edges(ds: list[Diagram]) -> tuple[tuple[int, int], ...]:
     )
 
 
+def _early_grading(
+    rs: RootSystem, gens: list[Weight], bound: int
+) -> GradingSummary | None:
+    """The grading summary read off the first tensor relations that present
+    P/Q, or None when they never do.
+
+    The generator pairs are read in the order of their sorted Weyl
+    dimensions, and each relation whose constituent is a generator enters
+    an echelon table as child - left - right.  Every constituent of
+    V(lambda) (x) V(mu) lies in lambda + mu + Q, so every relation lies in
+    the kernel K of Z^gens -> P/Q.  Once the table is full and its pivots
+    multiply to |P/Q|, the relations read span a sublattice of K with K's
+    index when that map is onto, hence K, which holds the full list too:
+    the quotient, free rank and match are the full path's.
+    ``matches_fundamental_group`` checks this once on the relations read;
+    should it fail, None sends the caller to the full path."""
+    index = {g: i for i, g in enumerate(gens)}
+    n = len(index)
+    order = fundamental_group(rs.cartan_type).order
+    pairs = sorted(
+        itertools.combinations_with_replacement(gens, 2),
+        key=lambda pair: sorted((weyl_dim(rs, pair[0]), weyl_dim(rs, pair[1]))),
+    )
+    basis = [None] * n
+    empty = n
+    read = []
+    for lam, mu in pairs:
+        children = filter(index.__contains__, tensor_decompose(rs, lam, mu))
+        for child in sorted(children, reverse=True):
+            read.append(TensorRelation(child, lam, mu))
+            v = [0] * n
+            v[index[child]] += 1
+            v[index[lam]] -= 1
+            v[index[mu]] -= 1
+            empty -= _insert_row(basis, v)
+        if not empty and prod(abs(row[i]) for i, row in enumerate(basis)) == order:
+            pres = universal_grading_group(read, gens)
+            if matches_fundamental_group(pres, rs):
+                return GradingSummary(bound, pres, True, None)
+            return None
+    return None
+
+
 def _entry_grading(
-    t: CartanType, bound: int, dim_cap: int
+    t: CartanType, bound: int, dim_cap: int, early: bool = False
 ) -> GradingSummary:
     rs = build_root_system(t)
     gens = dominant_weights_up_to(rs, bound)
@@ -154,6 +204,10 @@ def _entry_grading(
                 f"skipped: generator dimension {worst} exceeds the cap {dim_cap}"
             ),
         )
+    if early:
+        summary = _early_grading(rs, gens, bound)
+        if summary is not None:
+            return summary
     pres = grading_presentation(rs, bound)
     return GradingSummary(
         bound=bound,
@@ -180,7 +234,13 @@ def build_entry(
     bound: int,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
     grading_dim_cap: int = DEFAULT_GRADING_DIM_CAP,
+    *,
+    _early: bool = False,
 ) -> AtlasEntry:
+    """One atlas entry.  ``_early`` stops the grading at the first tensor
+    relations that present P/Q (``_early_grading``), with the same
+    quotient, free rank and match; ``grading.presentation`` then holds only
+    the relations read.  Without it the presentation is the full one."""
     _require_ints(0, bound=bound)
     _require_ints(1, enumeration_cap=enumeration_cap, grading_dim_cap=grading_dim_cap)
     group = fundamental_group(t)
@@ -200,7 +260,7 @@ def build_entry(
         fundamental_group=group,
         diagrams=infos,
         isogeny_edges=edges,
-        grading=_entry_grading(t, bound, grading_dim_cap),
+        grading=_entry_grading(t, bound, grading_dim_cap, _early),
         error=None,
     )
 
@@ -210,9 +270,13 @@ def build_atlas(
     bound: int = 3,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
     grading_dim_cap: int = DEFAULT_GRADING_DIM_CAP,
+    *,
+    _early: bool = False,
 ) -> list[AtlasEntry]:
+    """Every admissible irreducible type's entry; ``_early`` as in
+    ``build_entry``."""
     return [
-        build_entry(t, bound, enumeration_cap, grading_dim_cap)
+        build_entry(t, bound, enumeration_cap, grading_dim_cap, _early=_early)
         for t in admissible_irreducible_types(max_rank)
     ]
 

@@ -280,6 +280,8 @@ def _cmd_atlas(args) -> int:
         bound=args.bound,
         enumeration_cap=args.enumeration_cap,
         grading_dim_cap=args.grading_dim_cap,
+        # the atlas reads only the quotient, free rank and match
+        _early=True,
     )
     if args.format == "json":
         return _emit(

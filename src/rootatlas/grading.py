@@ -7,6 +7,12 @@ weight-class group, and pairs of weights can be certified equivalent by
 exhibiting a tensor word containing both.  The word search builds its
 letters and their classes in P/Q once per (root system, bound), in the
 ``_letters`` cache keyed by that pair.
+
+A presentation keeps only the relations whose constituent is a generator,
+and ``generate_relations`` drops every other constituent before it builds
+a relation.  Every constituent of V(lambda) (x) V(mu) lies in
+lambda + mu + Q (Humphreys, Introduction to Lie Algebras and
+Representation Theory, 21.3), so the relations kept still present P/Q.
 """
 
 from __future__ import annotations
@@ -38,14 +44,24 @@ class TensorRelation:
     right: Weight
 
 
-def generate_relations(rs: RootSystem, bound: int) -> list[TensorRelation]:
+def generate_relations(
+    rs: RootSystem, bound: int, *, _children=None
+) -> list[TensorRelation]:
     """Relations from all unordered pairs of dominant weights with
-    coordinate sum at most ``bound``, one per distinct constituent."""
+    coordinate sum at most ``bound``, one per distinct constituent.
+
+    ``_children``, a set of weights, keeps only the relations whose
+    constituent lies in it, dropped before any relation is built; the
+    relations kept are those of the full list, in the same order.  It is
+    a keyword here rather than a helper of its own so that
+    ``grading_presentation`` still runs this layer."""
     weights = dominant_weights_up_to(rs, bound)
     relations = []
     for lam, mu in itertools.combinations_with_replacement(weights, 2):
-        constituents = sorted(tensor_decompose(rs, lam, mu), reverse=True)
-        for child in constituents:
+        constituents = tensor_decompose(rs, lam, mu)
+        if _children is not None:
+            constituents = filter(_children.__contains__, constituents)
+        for child in sorted(constituents, reverse=True):
             relations.append(TensorRelation(child, lam, mu))
     return relations
 
@@ -53,7 +69,10 @@ def generate_relations(rs: RootSystem, bound: int) -> list[TensorRelation]:
 def restrict_relations(
     relations, generators
 ) -> list[TensorRelation]:
-    """Drop relations whose constituent falls outside the generator set."""
+    """Drop relations whose constituent falls outside the generator set.
+
+    The library no longer calls this: ``grading_presentation`` drops those
+    constituents inside ``generate_relations``."""
     gens = set(generators)
     return [
         r
@@ -122,7 +141,9 @@ def universal_grading_group(relations, generators) -> GradingPresentation:
 def grading_presentation(rs: RootSystem, bound: int) -> GradingPresentation:
     """The truncated universal grading group at the given bound."""
     gens = dominant_weights_up_to(rs, bound)
-    rels = restrict_relations(generate_relations(rs, bound), gens)
+    # both factors of every product are generators, so a relation belongs
+    # to the presentation when its constituent is one
+    rels = generate_relations(rs, bound, _children=frozenset(gens))
     return universal_grading_group(rels, gens)
 
 

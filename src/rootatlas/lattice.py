@@ -242,16 +242,34 @@ def fundamental_group(t: CartanType) -> FiniteAbelianGroup:
     return weight_class_data(t).group
 
 
+def _insert_row(basis: list, v: list[int]) -> bool:
+    """Insert the row ``v`` into the echelon table ``basis``, one slot per
+    column, the empty ones None: an empty slot takes the row, and at a full
+    slot Euclid down that column leaves the gcd in the slot and the row
+    walks on.  The rows in the table span the lattice of the rows inserted.
+    Returns whether the row took an empty slot."""
+    for col in range(len(basis)):
+        if not v[col]:
+            continue
+        head = basis[col]
+        if head is None:
+            basis[col] = v
+            return True
+        while v[col]:
+            q = head[col] // v[col]
+            head, v = v, [x - q * y for x, y in zip(head, v)]
+        basis[col] = head
+    return False
+
+
 def hermite_basis(rows, k: int) -> Matrix:
     """Canonical upper-triangular basis of the full-rank lattice spanned by
     ``rows`` in Z^k: positive pivots on the diagonal, entries above each
     pivot reduced to [0, pivot).
 
-    Each row is inserted into an echelon table with one slot per column: an
-    empty slot takes it, and at a full slot Euclid down that column leaves
-    the gcd in the slot and the row walks on.  The Hermite form of a lattice
-    is unique, so the route taken cannot change the result.  An entry whose
-    type is not exactly int raises ValueError."""
+    Each row is inserted into an echelon table by ``_insert_row``.  The
+    Hermite form of a lattice is unique, so the route taken cannot change
+    the result.  An entry whose type is not exactly int raises ValueError."""
     work = [list(r) for r in rows]
     for r in work:
         if len(r) != k:
@@ -259,17 +277,7 @@ def hermite_basis(rows, k: int) -> Matrix:
     _require_int_entries(work)
     basis = [None] * k
     for v in work:
-        for col in range(k):
-            if not v[col]:
-                continue
-            head = basis[col]
-            if head is None:
-                basis[col] = v
-                break
-            while v[col]:
-                q = head[col] // v[col]
-                head, v = v, [x - q * y for x, y in zip(head, v)]
-            basis[col] = head
+        _insert_row(basis, v)
     if None in basis:
         raise ValueError("rows do not span a full-rank lattice")
     # make each pivot positive, then reduce the entries above it

@@ -1,13 +1,17 @@
+import collections
 import copy
 import hashlib
+import io
 import json
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootatlas import lattice
+from rootatlas import classify, grading, lattice
 from rootatlas.classify import (
+    _early_grading,
     admissible_irreducible_types,
     atlas_to_json,
     build_atlas,
@@ -31,6 +35,7 @@ from rootatlas.lattice import (
     isogeny_order,
     simply_connected_diagram,
 )
+from rootatlas.repring import dominant_weights_up_to
 from rootatlas.rootsys import build_root_system, parse_cartan_type
 
 
@@ -224,6 +229,52 @@ def test_plain_build_entry_keeps_the_full_presentation(name, bound, relations):
     full = grading_presentation(build_root_system(t), bound)
     assert len(full.relations) == relations
     assert build_entry(t, bound).grading.presentation == full
+
+
+@pytest.mark.parametrize(
+    "name",
+    [str(t) for t in admissible_irreducible_types(4)] + ["A1xA1xA1", "A3xA1"],
+)
+def test_early_grading_agrees_with_the_full_path(name):
+    t = parse_cartan_type(name)
+    rs = build_root_system(t)
+    for bound in (0, 1, 2):
+        full = build_entry(t, bound).grading
+        early = build_entry(t, bound, _early=True).grading
+        assert (early.bound, early.matches, early.error) == (
+            full.bound,
+            full.matches,
+            full.error,
+        )
+        assert early.presentation.quotient == full.presentation.quotient
+        assert early.presentation.free_rank == full.presentation.free_rank
+        assert set(early.presentation.relations) <= set(full.presentation.relations)
+        # the relations read close on P/Q exactly when the full list
+        # presents it; at bound 0 only a trivial P/Q closes
+        stopped = _early_grading(rs, dominant_weights_up_to(rs, bound), bound)
+        assert (stopped is not None) == full.matches
+        if bound == 0:
+            assert full.matches == (fundamental_group(t).order == 1)
+
+
+def test_atlas_verb_takes_the_early_path(monkeypatch):
+    # 614 of the default atlas's 4,010 products, none of them through the
+    # full relation list, and the bytes the full path gives
+    calls = collections.Counter()
+    for module in (classify, grading):
+
+        def counted(*args, _name=module.__name__, _fn=module.tensor_decompose):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, "tensor_decompose", counted)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run("atlas --max-rank 4 --bound 3 --format json".split()) == 0
+    assert calls == {"rootatlas.classify": 614}
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "2b9e02456727f9edb730cd9615ab5adcee766647ce79b8ebf7b6f8426bb744a8"
+    )
 
 
 def test_json_shape():

@@ -64,6 +64,45 @@ def test_restrict_relations():
     assert (2,) in children
 
 
+def _restricted_presentation(rs, bound):
+    # the reference: every relation built, then restricted to the
+    # generators
+    gens = dominant_weights_up_to(rs, bound)
+    rels = restrict_relations(generate_relations(rs, bound), gens)
+    return universal_grading_group(rels, gens)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "A4", "B4", "C4", "D4", "F4"]
+    + ["A1xA1xA1", "A3xA1", "B2xG2"],
+)
+def test_grading_presentation_keeps_the_restricted_full_list(name):
+    rs = build_root_system(parse_cartan_type(name))
+    for bound in (0, 1, 2):
+        pres = grading_presentation(rs, bound)
+        old = _restricted_presentation(rs, bound)
+        for field in dataclasses.fields(pres):
+            assert getattr(pres, field.name) == getattr(old, field.name), field.name
+        assert list(pres.class_map.items()) == list(old.class_map.items())
+
+
+def test_generate_relations_keeps_the_children_asked_for():
+    rng = random.Random(30)
+    for name in ["A2", "B2", "G2", "A3"]:
+        rs = _SYSTEMS[name]
+        full = generate_relations(rs, 2)
+        children = sorted({r.child for r in full})
+        # half the constituents, some above the bound, with a weight that
+        # is no constituent at all
+        kept = frozenset(rng.sample(children, len(children) // 2)) | {(9,) * rs.rank}
+        assert kept != frozenset(dominant_weights_up_to(rs, 2))
+        assert generate_relations(rs, 2, _children=kept) == [
+            r for r in full if r.child in kept
+        ]
+        assert generate_relations(rs, 2, _children=frozenset()) == []
+
+
 def test_universal_grading_trivial_example():
     pres = universal_grading_group([TensorRelation((0,), (0,), (0,))], [(0,)])
     assert pres.quotient.invariant_factors == ()
