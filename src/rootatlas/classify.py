@@ -147,31 +147,32 @@ def hasse_edges(ds: list[Diagram]) -> tuple[tuple[int, int], ...]:
 
 
 def _early_grading(
-    rs: RootSystem, gens: list[Weight], bound: int
-) -> GradingSummary | None:
-    """The grading summary read off the first tensor relations that present
-    P/Q, or None when they never do.
+    rs: RootSystem, dims: dict[Weight, int], bound: int
+) -> GradingSummary:
+    """The grading summary over the generators ``dims``, each with its Weyl
+    dimension, read off the first tensor relations that present P/Q.
 
-    The generator pairs are read in the order of their sorted Weyl
-    dimensions, and each relation whose constituent is a generator enters
-    an echelon table as child - left - right.  Every constituent of
-    V(lambda) (x) V(mu) lies in lambda + mu + Q, so every relation lies in
-    the kernel K of Z^gens -> P/Q.  Once the table is full and its pivots
-    multiply to |P/Q|, the relations read span a sublattice of K with K's
-    index when that map is onto, hence K, which holds the full list too:
-    the quotient, free rank and match are the full path's.
-    ``matches_fundamental_group`` checks this once on the relations read;
-    should it fail, None sends the caller to the full path."""
+    The pairs are read by sorted Weyl dimensions, and each relation whose
+    constituent is a generator enters an echelon table as child - left -
+    right.  Every constituent of V(lambda) (x) V(mu) lies in lambda + mu + Q,
+    so every relation lies in the kernel K of Z^gens -> P/Q.  Once the table
+    is full and its pivots multiply to |P/Q|, the relations read span a
+    sublattice of K with K's index when that map is onto, hence K: the
+    quotient, free rank and match are the full list's.
+    ``matches_fundamental_group`` checks this once.  With no close, or a
+    rejected one, the remaining pairs are each read once, and all the
+    relations read are presented: the full list's, in another order."""
+    gens = list(dims)
     index = {g: i for i, g in enumerate(gens)}
     n = len(index)
     order = fundamental_group(rs.cartan_type).order
     pairs = sorted(
         itertools.combinations_with_replacement(gens, 2),
-        key=lambda pair: sorted((weyl_dim(rs, pair[0]), weyl_dim(rs, pair[1]))),
+        key=lambda pair: sorted((dims[pair[0]], dims[pair[1]])),
     )
     basis = [None] * n
-    empty = n
     read = []
+    testing = True
     for lam, mu in pairs:
         children = filter(index.__contains__, tensor_decompose(rs, lam, mu))
         for child in sorted(children, reverse=True):
@@ -180,21 +181,24 @@ def _early_grading(
             v[index[child]] += 1
             v[index[lam]] -= 1
             v[index[mu]] -= 1
-            empty -= _insert_row(basis, v)
-        if not empty and prod(abs(row[i]) for i, row in enumerate(basis)) == order:
+            _insert_row(basis, v)
+        # the index in Z^gens of the relations read, 0 while a slot is empty
+        pivots = prod(abs(row[i]) if row else 0 for i, row in enumerate(basis))
+        if testing and pivots == order:
             pres = universal_grading_group(read, gens)
             if matches_fundamental_group(pres, rs):
                 return GradingSummary(bound, pres, True, None)
-            return None
-    return None
+            testing = False
+    pres = universal_grading_group(read, gens)
+    return GradingSummary(bound, pres, matches_fundamental_group(pres, rs), None)
 
 
 def _entry_grading(
     t: CartanType, bound: int, dim_cap: int, early: bool = False
 ) -> GradingSummary:
     rs = build_root_system(t)
-    gens = dominant_weights_up_to(rs, bound)
-    worst = max(weyl_dim(rs, g) for g in gens)
+    dims = {g: weyl_dim(rs, g) for g in dominant_weights_up_to(rs, bound)}
+    worst = max(dims.values())
     if worst > dim_cap:
         return GradingSummary(
             bound=bound,
@@ -205,9 +209,7 @@ def _entry_grading(
             ),
         )
     if early:
-        summary = _early_grading(rs, gens, bound)
-        if summary is not None:
-            return summary
+        return _early_grading(rs, dims, bound)
     pres = grading_presentation(rs, bound)
     return GradingSummary(
         bound=bound,
@@ -237,10 +239,10 @@ def build_entry(
     *,
     _early: bool = False,
 ) -> AtlasEntry:
-    """One atlas entry.  ``_early`` stops the grading at the first tensor
-    relations that present P/Q (``_early_grading``), with the same
-    quotient, free rank and match; ``grading.presentation`` then holds only
-    the relations read.  Without it the presentation is the full one."""
+    """One atlas entry.  ``_early`` reads the grading through
+    ``_early_grading``, with the same quotient, free rank and match;
+    ``grading.presentation`` then holds only the relations read, in the
+    order read.  Without it the presentation is the full one."""
     _require_ints(0, bound=bound)
     _require_ints(1, enumeration_cap=enumeration_cap, grading_dim_cap=grading_dim_cap)
     group = fundamental_group(t)
@@ -270,13 +272,9 @@ def build_atlas(
     bound: int = 3,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
     grading_dim_cap: int = DEFAULT_GRADING_DIM_CAP,
-    *,
-    _early: bool = False,
 ) -> list[AtlasEntry]:
-    """Every admissible irreducible type's entry; ``_early`` as in
-    ``build_entry``."""
     return [
-        build_entry(t, bound, enumeration_cap, grading_dim_cap, _early=_early)
+        build_entry(t, bound, enumeration_cap, grading_dim_cap)
         for t in admissible_irreducible_types(max_rank)
     ]
 

@@ -21,8 +21,9 @@ from .classify import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_GRADING_DIM_CAP,
     _diagram_infos,
+    admissible_irreducible_types,
     atlas_to_json,
-    build_atlas,
+    build_entry,
     decompose_semisimple,
     diagram_info_to_json,
 )
@@ -275,14 +276,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
-    entries = build_atlas(
-        max_rank=args.max_rank,
-        bound=args.bound,
-        enumeration_cap=args.enumeration_cap,
-        grading_dim_cap=args.grading_dim_cap,
-        # the atlas reads only the quotient, free rank and match
-        _early=True,
-    )
+    # the atlas reads only the quotient, free rank and match
+    entries = [
+        build_entry(
+            t, args.bound, args.enumeration_cap, args.grading_dim_cap, _early=True
+        )
+        for t in admissible_irreducible_types(args.max_rank)
+    ]
     if args.format == "json":
         return _emit(
             atlas_to_json(

@@ -242,24 +242,22 @@ def fundamental_group(t: CartanType) -> FiniteAbelianGroup:
     return weight_class_data(t).group
 
 
-def _insert_row(basis: list, v: list[int]) -> bool:
+def _insert_row(basis: list, v: list[int]) -> None:
     """Insert the row ``v`` into the echelon table ``basis``, one slot per
     column, the empty ones None: an empty slot takes the row, and at a full
     slot Euclid down that column leaves the gcd in the slot and the row
-    walks on.  The rows in the table span the lattice of the rows inserted.
-    Returns whether the row took an empty slot."""
+    walks on.  The rows in the table span the lattice of the rows inserted."""
     for col in range(len(basis)):
         if not v[col]:
             continue
         head = basis[col]
         if head is None:
             basis[col] = v
-            return True
+            return
         while v[col]:
             q = head[col] // v[col]
             head, v = v, [x - q * y for x, y in zip(head, v)]
         basis[col] = head
-    return False
 
 
 def hermite_basis(rows, k: int) -> Matrix:

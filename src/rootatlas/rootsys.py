@@ -167,8 +167,9 @@ class RootSystem:
     reflection_cols: tuple[tuple[tuple[int, int], ...], ...]
 
     # equal root systems have equal types, so this agrees with the
-    # field-by-field __eq__, and the tuple hashes in C: the caches of
-    # repring and grading are keyed by root systems
+    # field-by-field __eq__; the tuple hashes in C, but this method runs as
+    # Python bytecode on every lookup in the caches of repring and grading,
+    # which are keyed by root systems
     def __hash__(self) -> int:
         return hash(self.cartan_type.components)
 

@@ -2,6 +2,7 @@ import collections
 import copy
 import hashlib
 import io
+import itertools
 import json
 from contextlib import redirect_stdout
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from rootatlas import classify, grading, lattice
 from rootatlas.classify import (
-    _early_grading,
     admissible_irreducible_types,
     atlas_to_json,
     build_atlas,
@@ -231,47 +231,105 @@ def test_plain_build_entry_keeps_the_full_presentation(name, bound, relations):
     assert build_entry(t, bound).grading.presentation == full
 
 
+def _summary(g):
+    """What the atlas reads of a grading: its quotient, free rank and match."""
+    pres = g.presentation
+    return g.bound, g.error, g.matches, pres.quotient, pres.free_rank
+
+
+def _count_products(monkeypatch, *modules):
+    """Count each ``tensor_decompose`` call made through ``modules`` by its
+    module, root system and pair."""
+    calls = collections.Counter()
+    for module in modules:
+
+        def counted(rs, lam, mu, _name=module.__name__, _fn=module.tensor_decompose):
+            calls[_name, rs, lam, mu] += 1
+            return _fn(rs, lam, mu)
+
+        monkeypatch.setattr(module, "tensor_decompose", counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "name",
     [str(t) for t in admissible_irreducible_types(4)] + ["A1xA1xA1", "A3xA1"],
 )
 def test_early_grading_agrees_with_the_full_path(name):
+    # closed early or not, the relations read give the full list's summary;
+    # when the full list does not present P/Q, as at bound 0 with P/Q
+    # nontrivial, every relation of it is read
     t = parse_cartan_type(name)
-    rs = build_root_system(t)
     for bound in (0, 1, 2):
         full = build_entry(t, bound).grading
         early = build_entry(t, bound, _early=True).grading
-        assert (early.bound, early.matches, early.error) == (
-            full.bound,
-            full.matches,
-            full.error,
-        )
-        assert early.presentation.quotient == full.presentation.quotient
-        assert early.presentation.free_rank == full.presentation.free_rank
-        assert set(early.presentation.relations) <= set(full.presentation.relations)
-        # the relations read close on P/Q exactly when the full list
-        # presents it; at bound 0 only a trivial P/Q closes
-        stopped = _early_grading(rs, dominant_weights_up_to(rs, bound), bound)
-        assert (stopped is not None) == full.matches
+        assert _summary(early) == _summary(full)
+        read = collections.Counter(early.presentation.relations)
+        assert read <= collections.Counter(full.presentation.relations)
+        if not full.matches:
+            assert read == collections.Counter(full.presentation.relations)
         if bound == 0:
             assert full.matches == (fundamental_group(t).order == 1)
+
+
+@pytest.mark.parametrize(
+    "name, bound", [("A2", 1), ("B3", 2), ("D4", 1), ("G2", 2), ("A3xA1", 1)]
+)
+def test_a_rejected_close_reads_on_to_the_full_summary(monkeypatch, name, bound):
+    # a pivot product that always reads |P/Q| closes on the first pair, whose
+    # relations do not present P/Q: the guard rejects them, and every pair is
+    # then read once and all the relations read are presented
+    t = parse_cartan_type(name)
+    rs = build_root_system(t)
+    full = build_entry(t, bound).grading
+    order = fundamental_group(t).order
+    monkeypatch.setattr(classify, "prod", lambda pivots: order)
+    verdicts = []
+
+    def guard(*args, _fn=classify.matches_fundamental_group):
+        verdicts.append(_fn(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(classify, "matches_fundamental_group", guard)
+    calls = _count_products(monkeypatch, classify, grading)
+    early = build_entry(t, bound, _early=True).grading
+    assert verdicts == [False, full.matches]
+    assert _summary(early) == _summary(full)
+    gens = dominant_weights_up_to(rs, bound)
+    assert calls == collections.Counter(
+        ("rootatlas.classify", rs, lam, mu)
+        for lam, mu in itertools.combinations_with_replacement(gens, 2)
+    )
+
+
+def test_atlas_verb_decomposes_each_product_once_at_bound_0(monkeypatch):
+    # no nontrivial P/Q closes at bound 0, so each entry reads its one
+    # product, 0 (x) 0, and presents it without decomposing it again
+    calls = _count_products(monkeypatch, classify, grading)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run("atlas --max-rank 6 --bound 0 --format json".split()) == 0
+    zero = [
+        (build_root_system(t), (0,) * t.rank) for t in admissible_irreducible_types(6)
+    ]
+    assert calls == collections.Counter(
+        ("rootatlas.classify", rs, w, w) for rs, w in zero
+    )
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "76d1520b10f83be51d1943c53e0323d9d80449e3d549d875c5cd2d092f9f5d5e"
+    )
 
 
 def test_atlas_verb_takes_the_early_path(monkeypatch):
     # 614 of the default atlas's 4,010 products, none of them through the
     # full relation list, and the bytes the full path gives
-    calls = collections.Counter()
-    for module in (classify, grading):
-
-        def counted(*args, _name=module.__name__, _fn=module.tensor_decompose):
-            calls[_name] += 1
-            return _fn(*args)
-
-        monkeypatch.setattr(module, "tensor_decompose", counted)
+    calls = _count_products(monkeypatch, classify, grading)
     out = io.StringIO()
     with redirect_stdout(out):
         assert run("atlas --max-rank 4 --bound 3 --format json".split()) == 0
-    assert calls == {"rootatlas.classify": 614}
+    assert {name for name, *_ in calls} == {"rootatlas.classify"}
+    assert set(calls.values()) == {1}
+    assert len(calls) == 614
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
         "2b9e02456727f9edb730cd9615ab5adcee766647ce79b8ebf7b6f8426bb744a8"
     )
