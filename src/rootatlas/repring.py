@@ -8,7 +8,8 @@ for the root system, and the decomposition through its ``block`` kernel,
 which straightens the weights of one orbit and sums their signs in one
 call; each is fetched once per call.  The decomposition first drops every
 shifted weight on the wall of a simple root or of a root of height two,
-most of the weights of a large product, by a wall test read from cached
+most of the weights of a large product: ``block`` tests the points of a
+small orbit inline, and a large orbit's wall points are read from cached
 bitmasks.  Two independent routes are deliberately kept: dimensions can be
 cross-checked as the total mass of the weight multiset, and decompositions
 against the convolution of weight multisets.  All values are exact
@@ -29,7 +30,7 @@ first compares w with alpha at alpha's largest coordinate a = alpha_i: when
 w_i < a, w - alpha has a negative coordinate, and the root is skipped
 without building the weight.
 
-Ten ``functools.cache`` helpers keep work that repeats across calls,
+Nine ``functools.cache`` helpers keep work that repeats across calls,
 and every call returns a fresh dict, so a caller may change what it gets:
 
 - ``_dominant_table``: dominant multiplicities, keyed by (root system,
@@ -49,27 +50,28 @@ and every call returns a fresh dict, so a caller may change what it gets:
   of one norm and one set of simple coordinates off the zeros, or, with
   none there, of one component of the Dynkin diagram on the zeros (Azad,
   Barry and Seitz, Comm. Algebra 18, 1990);
-- ``_bonds``: per root system, the roots alpha_i + alpha_j of height two,
-  one per bond of the Dynkin diagram, as (i, j, k_i, k_j) with coroot
-  k_i alpha_i^vee + k_j alpha_j^vee;
-- ``_orbit_walls``: the size and the wall masks of one orbit, keyed by
-  (root system, dominant weight).  Its wall columns are the rank
-  coordinates nu_i, then k_i nu_i + k_j nu_j for each of the ``_bonds``;
-  for each column and each value -c it takes at or below minus the least
-  pairing a shifted weight can have there (1, or k_i + k_j), an int whose
-  bit k is set when point k of the ``_orbit`` frozenset, in its iteration
-  order, has -c there;
+- ``_orbit_walls``: the size and the wall masks of one orbit of at least
+  ``_MASK_MIN_POINTS`` points, keyed by (root system, dominant weight).
+  Its wall columns are the rank coordinates nu_i, then k_i nu_i + k_j nu_j
+  for each (i, j, k_i, k_j) of ``rootsys._bonds``, one per root alpha_i +
+  alpha_j of height two, whose coroot is k_i alpha_i^vee + k_j
+  alpha_j^vee; for each column and each value -c it takes at or below
+  minus the least pairing a shifted weight can have there (1, or k_i +
+  k_j), an int whose bit k is set when point k of the ``_orbit``
+  frozenset, in its iteration order, has -c there;
 - ``_wall_kernel``: per root system, the body of ``_orbit_walls``,
   generated from ``_bonds`` with every coefficient and floor inlined: one
   pass over the orbit that tests each coordinate of a point against 0 and
-  computes each of its bond columns once;
+  computes each of its bond columns once.  It is compiled at the first
+  orbit that needs masks, so a type whose orbits are all small never
+  compiles it;
 - ``_module``: the module V(mu), keyed by (root system, highest weight):
   the weights of ``weight_multiplicities`` as one tuple, in its item
-  order, and one block (mu', m, start, end, masks) per dominant weight
-  mu' in ``_dominant_table`` order, with m its multiplicity and masks the
-  cached ``_orbit_walls`` entry.  The multiset lists each dominant
-  weight's cached orbit in iteration order, so weights[start:end] is
-  W mu' in that order and bit k of its masks is weight start + k;
+  order, and one block (mu', m, start, end) per dominant weight mu' in
+  ``_dominant_table`` order, with m its multiplicity.  The multiset lists
+  each dominant weight's cached orbit in iteration order, so
+  weights[start:end] is W mu' in that order and bit k of its
+  ``_orbit_walls`` masks is weight start + k;
 - ``_orbit_sums``: per root system, one dict, the memo of orbit sums.
   V(mu)'s weights are the orbits W mu' with multiplicity m, so the signed
   straightening of lam + rho + nu, summed over nu in W mu', depends only
@@ -83,18 +85,26 @@ Each block is added in one ``dict.update`` over C iterators, safe because
 a block's weights are distinct: each ``get`` reads the sum from before the
 block.  A C filter on the sums' values then gives the result.
 
-A decomposition reads the wall masks only for a block that the memo lacks.
-For a weight nu of V(mu), lam + rho + nu pairs to zero with alpha^vee
-exactly when the column of alpha is minus the pairing of lam + rho with
-alpha^vee, so it finds the weights it drops in one OR per column, then hands
-the rest to ``block``, which straightens them and drops those that reach a
-wall of a higher root.  A block found in the memo reads no mask and
-straightens nothing.  The masks and the memo's key order hold only for the
-cached frozensets: clear ``_orbit_walls``, ``_module`` and ``_orbit_sums``
-with ``_orbit``.  ``_module`` builds its weights through
-``weight_multiplicities``, called through the module attribute, so each
-module is built once and the benchmark's traced ``weight_multiplicities``
-layer still records it.
+A decomposition tests the walls only for a block that the memo lacks, in
+one of two ways chosen by the size of its orbit; both drop the same
+points.  An orbit of fewer than ``_MASK_MIN_POINTS`` points goes to
+``block`` whole, with its inline wall test on: for each point nu, block
+computes each coordinate of lam + rho + nu and each of its bond pairings,
+and skips nu before straightening when one is 0.  For a larger orbit,
+lam + rho + nu pairs to zero with alpha^vee exactly when the column of
+alpha is minus the pairing of lam + rho with alpha^vee, so the
+decomposition finds the weights it drops in one OR of cached masks per
+column and hands only the rest to ``block``.  Either way ``block``
+straightens what it keeps and drops those that reach a wall of a higher
+root.  Building masks costs a pass over the orbit and, once per root
+system, the wall kernel's compile; on a small orbit that is more than the
+inline test costs on the points the masks would skip.  A block found in
+the memo reads no mask and straightens nothing.  The masks and the memo's
+key order hold only for the cached frozensets: clear ``_orbit_walls``,
+``_module`` and ``_orbit_sums`` with ``_orbit``.  ``_module`` builds its
+weights through ``weight_multiplicities``, called through the module
+attribute, so each module is built once and the benchmark's traced
+``weight_multiplicities`` layer still records it.
 
 Why height two: a shifted weight that one simple reflection s_i takes onto
 the wall of a neighbouring alpha_j lay on the wall of s_i alpha_j, which is
@@ -103,7 +113,7 @@ from dominant are most of the singular ones a product straightens, so
 these walls catch nearly all of them, and a column per higher root costs
 more than the straightenings it saves.
 
-An eleventh cache, ``_minus_rho``, takes rho off a straightened weight and
+A tenth cache, ``_minus_rho``, takes rho off a straightened weight and
 keeps one tuple per highest weight, which the memo's keys and the relations
 callers keep share.  It is injective, so the memo's keys keep their order.
 """
@@ -120,6 +130,8 @@ from .rootsys import (
     PositiveRootData,
     RootSystem,
     Weight,
+    _bond_terms,
+    _bonds,
     _listed,
     _reflection_kernels,
     _require_dominant,
@@ -282,19 +294,10 @@ _TO_BINARY = bytes.maketrans(b"\x00\x01", b"01")
 _CLEAR = bytes.maketrans(b"01", b"\x01\x00")
 # an orbit's size and its wall masks, one dict per wall column
 _OrbitWalls = tuple[int, tuple[dict[int, int], ...]]
-
-
-@functools.cache
-def _bonds(rs: RootSystem) -> tuple[tuple[int, int, int, int], ...]:
-    """One (i, j, k_i, k_j) per positive root alpha_i + alpha_j of height
-    two, one per bond of the Dynkin diagram, in ``positive_root_data``
-    order: its coroot is k_i alpha_i^vee + k_j alpha_j^vee."""
-    bonds = []
-    for p in rs.positive_root_data:
-        if sum(p.simple_coords) == 2:
-            i, j = (n for n, s in enumerate(p.simple_coords) if s)
-            bonds.append((i, j, p.coroot[i], p.coroot[j]))
-    return tuple(bonds)
+# the least orbit size whose misses read wall masks: below it, building the
+# masks, and the wall kernel for a type that meets no larger orbit, costs
+# more than block's inline wall test on the points the masks would skip
+_MASK_MIN_POINTS = 64
 
 
 @functools.cache
@@ -324,7 +327,8 @@ def _wall_kernel(rs: RootSystem):
     makes a value's string at its first point and so keeps the values in
     order of first occurrence."""
     v = [f"v{j}" for j in range(rs.rank)]
-    flags = [f"f{c}" for c in range(rs.rank + len(_bonds(rs)))]
+    bonds = _bonds(rs)
+    flags = [f"f{c}" for c in range(rs.rank + len(bonds))]
     lines = [
         "def walls(orbit):",
         "    size = len(orbit)",
@@ -333,10 +337,8 @@ def _wall_kernel(rs: RootSystem):
         f"    for k, ({_listed(v)}) in enumerate(orbit):",
     ]
     lines += map("        if {1} < 0: {0}[{1}][k] = 1".format, flags, v)
-    for f, (i, j, ki, kj) in zip(flags[rs.rank :], _bonds(rs)):
-        # "d" refuses a coefficient or a floor that is not an int
-        terms = [f"{k:d} * v{n}" for n, k in ((i, ki), (j, kj))]
-        x = " + ".join(t.removeprefix("1 * ") for t in terms)
+    for f, x, (_, _, ki, kj) in zip(flags[rs.rank :], _bond_terms(bonds), bonds):
+        # "d" refuses a floor that is not an int, as _bond_terms a coefficient
         lines.append(f"        if (x := {x}) <= -{ki + kj:d}: {f}[x][k] = 1")
     lines += [
         "    return size, tuple(",
@@ -349,9 +351,9 @@ def _wall_kernel(rs: RootSystem):
     return namespace["walls"]
 
 
-# a dominant weight mu' of a module, its multiplicity m, the slice
-# [start, end) of the module's weights that is W mu', and its wall masks
-_Block = tuple[Weight, int, int, int, tuple[dict[int, int], ...]]
+# a dominant weight mu' of a module, its multiplicity m, and the slice
+# [start, end) of the module's weights that is W mu'
+_Block = tuple[Weight, int, int, int]
 # the straightened weights of one orbit block less rho, in first-occurrence
 # order, and the signed count of each
 _OrbitSum = tuple[tuple[Weight, ...], tuple[int, ...]]
@@ -367,9 +369,9 @@ def _module(
     blocks = []
     start = 0
     for mu, m in _dominant_table(rs, lam).items():
-        size, walls = _orbit_walls(rs, mu)
-        blocks.append((mu, m, start, start + size, walls))
-        start += size
+        end = start + len(_orbit(rs, mu))
+        blocks.append((mu, m, start, end))
+        start = end
     return keys, tuple(blocks)
 
 
@@ -414,29 +416,37 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
     if (_weyl_dim(rs, mu), mu) > (_weyl_dim(rs, lam), lam):
         lam, mu = mu, lam
 
-    pairings = None
+    shifted = pairings = None
     keys, blocks = _module(rs, mu)
     memo = _orbit_sums(rs)
     acc: dict[Weight, int] = {}
-    for dom, mult, start, end, walls in blocks:
+    for dom, mult, start, end in blocks:
         entry = memo.get((lam, dom))
         if entry is None:
-            if pairings is None:
+            if shifted is None:
                 block = _reflection_kernels(rs)[2]
                 shifted = [c + 1 for c in lam]
-                pairings = shifted + [
-                    ki * shifted[i] + kj * shifted[j] for i, j, ki, kj in _bonds(rs)
-                ]
             # a weight nu such that lam + rho + nu pairs to zero with a simple
             # coroot or the coroot of a root of height two lies on a wall:
             # the reflection in that root fixes it, so it is singular and
-            # contributes nothing.  The cached masks of the orbit mark these
-            # points for this lam, and compress skips them without running
-            # any bytecode for them.  A weight off these walls may still lie
-            # on a higher root's wall; reflections keep it singular, so it
-            # straightens onto a simple one, and block drops it there
-            selector = _off_walls(walls, pairings, end - start)
-            sums = block(shifted, compress(keys[start:end], selector))
+            # contributes nothing.  A small orbit goes to block whole, which
+            # skips these points by an inline test before straightening.  On
+            # a large one, the cached masks of the orbit mark them for this
+            # lam, and compress skips them without running any bytecode for
+            # them.  A weight off these walls may still lie on a higher
+            # root's wall; reflections keep it singular, so it straightens
+            # onto a simple one, and block drops it there
+            if end - start < _MASK_MIN_POINTS:
+                sums = block(shifted, keys[start:end], True)
+            else:
+                if pairings is None:
+                    pairings = shifted + [
+                        ki * shifted[i] + kj * shifted[j]
+                        for i, j, ki, kj in _bonds(rs)
+                    ]
+                walls = _orbit_walls(rs, dom)[1]
+                selector = _off_walls(walls, pairings, end - start)
+                sums = block(shifted, compress(keys[start:end], selector))
             # a key whose sum is 0 stays: it fixes where the key first
             # enters the product, and so the product's item order
             entry = memo[lam, dom] = tuple(map(_minus_rho, sums)), tuple(sums.values())

@@ -293,6 +293,29 @@ def dominant_representative(rs: RootSystem, w: Weight) -> tuple[Weight, int, boo
     return dom, sign, 0 in dom
 
 
+@functools.cache
+def _bonds(rs: RootSystem) -> tuple[tuple[int, int, int, int], ...]:
+    """One (i, j, k_i, k_j) per positive root alpha_i + alpha_j of height
+    two, one per bond of the Dynkin diagram, in ``positive_root_data``
+    order: its coroot is k_i alpha_i^vee + k_j alpha_j^vee."""
+    bonds = []
+    for p in rs.positive_root_data:
+        if sum(p.simple_coords) == 2:
+            i, j = (n for n, s in enumerate(p.simple_coords) if s)
+            bonds.append((i, j, p.coroot[i], p.coroot[j]))
+    return tuple(bonds)
+
+
+def _bond_terms(bonds: tuple[tuple[int, int, int, int], ...]) -> list[str]:
+    """The source of k_i v_i + k_j v_j for each bond, each coefficient
+    formatted with ``d``, which refuses anything but an int, and a
+    coefficient 1 left out."""
+    return [
+        " + ".join(f"{k:d} * v{n}".removeprefix("1 * ") for n, k in ((i, ki), (j, kj)))
+        for i, j, ki, kj in bonds
+    ]
+
+
 def _listed(items) -> str:
     # "x, y, " reads as a tuple on either side of an assignment, rank 1 too
     return "".join(f"{x}, " for x in items)
@@ -301,8 +324,8 @@ def _listed(items) -> str:
 @functools.cache
 def _reflection_kernels(rs: RootSystem):
     """The orbit closure, the straightener and the block sum of ``rs``, as
-    three functions generated from ``reflection_cols`` with every
-    coefficient inlined.
+    three functions generated from ``reflection_cols`` and ``_bonds`` with
+    every coefficient inlined.
 
     ``orbit(w, key, step0, step1, ...)`` returns the frozenset
     ``weyl_orbit`` returns.  It keeps the traversal of a plain closure
@@ -334,17 +357,24 @@ def _reflection_kernels(rs: RootSystem):
     coordinate is taken, singular ``w`` included: the end and the sign do
     not depend on the choice.
 
-    ``block(shifted, points)`` straightens ``shifted + n`` for each point n
-    of the iterable ``points``, in its order, by the same reflections, and
-    returns the dict from each regular dominant weight reached, in order of
-    first occurrence, to the sum of its signs.  A straightened weight is
-    dominant, so its coordinates are at least 0, and ``v0 and v1 and ...``
-    holds exactly when none is 0: the weight is kept exactly when it is
-    regular.
+    ``block(shifted, points, walls=False)`` straightens ``shifted + n``
+    for each point n of the iterable ``points``, in its order, by the same
+    reflections, and returns the dict from each regular dominant weight
+    reached, in order of first occurrence, to the sum of its signs.  A
+    straightened weight is dominant, so its coordinates are at least 0, and
+    ``v0 and v1 and ...`` holds exactly when none is 0: the weight is kept
+    exactly when it is regular.  With ``walls`` true, block first skips
+    each v = shifted + n on the wall of a simple root or of a root alpha_i
+    + alpha_j of height two: a zero coordinate, or k_i v_i + k_j v_j = 0
+    for an item (i, j, k_i, k_j) of ``_bonds``.  The reflection in that
+    root fixes v, so v is singular, straightens to a singular weight and
+    would be dropped anyway: the flag saves its straightening and changes
+    nothing in the dict, its order or its sums.
 
     Each reflection changes only the coordinates of the nonzero entries of
-    its Cartan column, and each coefficient is written into the source
-    with the ``d`` format, which refuses anything but an int.
+    its Cartan column, and each coefficient, of a reflection or of a bond,
+    is written into the source with the ``d`` format, which refuses
+    anything but an int.
     """
     v = [f"v{j}" for j in range(rs.rank)]
     steps = [f"step{j}" for j in range(rs.rank)]
@@ -387,12 +417,14 @@ def _reflection_kernels(rs: RootSystem):
     ]
     s = [f"s{j}" for j in range(rs.rank)]
     n = [f"n{j}" for j in range(rs.rank)]
+    walls = " and ".join(v + _bond_terms(_bonds(rs)))
     block = [
-        "def block(shifted, points):",
+        "def block(shifted, points, walls=False):",
         f"    {_listed(s)}= shifted",
         "    sums = {}; get = sums.get",
         f"    for {_listed(n)}in points:",
         *map("        {} = {} + {}".format, v, s, n),
+        f"        if walls and not ({walls}): continue",
         "        sign = 1",
         "        while True:",
         *(f"            {line}" for line in chain),

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootatlas import repring, rootsys
+from rootatlas.classify import build_entry
 from rootatlas.grading import grading_class, tensor_equivalent
 from rootatlas.lattice import diagrams, weight_class_data, weight_in_lattice
 from rootatlas.repring import (
@@ -51,7 +52,7 @@ def _cold_caches():
         repring._minus_rho,
         repring._weyl_dim,
         repring._root_classes,
-        repring._bonds,
+        rootsys._bonds,
         repring._wall_kernel,
         repring._support_roots,
         repring._orbit_walls,
@@ -183,12 +184,12 @@ def test_wall_selector_matches_the_direct_wall_test():
         keys, blocks = repring._module(rs, mu)
         assert keys == tuple(wm)
         # the blocks tile the module, each its orbit in iteration order
-        tiles = [keys[start:end] for _, _, start, end, _ in blocks]
+        tiles = [keys[start:end] for _, _, start, end in blocks]
         assert tiles == [tuple(repring._orbit(rs, dom)) for dom, *_ in blocks]
         assert tuple(itertools.chain(*tiles)) == keys
         selector = b"".join(
-            repring._off_walls(walls, pairings, end - start)
-            for _, _, start, end, walls in blocks
+            repring._off_walls(repring._orbit_walls(rs, dom)[1], pairings, end - start)
+            for dom, _, start, end in blocks
         )
         shifted_weights = [tuple(map(add, shifted, nu)) for nu in wm]
         off_simple = [0 not in v for v in shifted_weights]
@@ -212,7 +213,7 @@ def test_bonds_are_the_height_two_roots(name):
     rank = rs.rank
     m = rs.cartan_matrix
     edges = {(i, j) for i in range(rank) for j in range(i + 1, rank) if m[i][j]}
-    bonds = repring._bonds(rs)
+    bonds = rootsys._bonds(rs)
     assert len(bonds) == len(edges)
     assert {(i, j) for i, j, _, _ in bonds} == edges
     coroots = {p.simple_coords: p.coroot for p in rs.positive_root_data}
@@ -600,10 +601,10 @@ def _count_straightenings(monkeypatch):
     def fetch(rs):
         orbit, straighten, block = kernels(rs)
 
-        def counted(shifted, block_points):
+        def counted(shifted, block_points, walls=False):
             block_points = list(block_points)
             points.extend(block_points)
-            return block(shifted, block_points)
+            return block(shifted, block_points, walls)
 
         return orbit, straighten, counted
 
@@ -650,12 +651,8 @@ def test_repeated_calls_hit_the_caches(monkeypatch):
     assert repring._module.cache_info().hits == masks[1].hits + 1
     table = repring._dominant_table(rs, mu)
     assert len(memo) == 2 * len(table)
-    # the module holds the cached orbit masks themselves, in table order
     keys, blocks = repring._module(rs, mu)
     assert [(dom, m) for dom, m, *_ in blocks] == list(table.items())
-    assert all(
-        walls is repring._orbit_walls(rs, dom)[1] for dom, _, _, _, walls in blocks
-    )
 
     orbits.clear()
     weights = list(weight_multiplicities(rs, (2, 0, 0)).items())
@@ -756,6 +753,44 @@ def test_tensor_items_match_straightening_every_weight(name, sample):
         expected = _straighten_every_weight(rs, lam, mu)
         assert list(tensor_decompose(rs, lam, mu).items()) == expected
         assert list(tensor_decompose(rs, mu, lam).items()) == expected
+
+
+def test_masked_and_inline_wall_tests_give_the_same_items(monkeypatch):
+    # every orbit through the masks, then every orbit through block's inline
+    # wall test: the same items in the same order, over both corpora
+    pairs = list(_parity_pairs())
+    for name, sample in MEMO_CORPUS:
+        rs, _, memo_pairs = _memo_pairs(name, sample)
+        pairs += [(rs, lam, mu) for lam, mu in memo_pairs]
+    items = []
+    for threshold in (0, 10**9):
+        monkeypatch.setattr(repring, "_MASK_MIN_POINTS", threshold)
+        _cold_caches()
+        items.append(
+            [list(tensor_decompose(rs, lam, mu).items()) for rs, lam, mu in pairs]
+        )
+    assert items[0] == items[1]
+
+
+def test_only_large_orbits_build_wall_masks(monkeypatch):
+    # every orbit of A3 has at most 24 points: an entry compiles no wall
+    # kernel, though it decomposes products
+    _cold_caches()
+    kernels = _count_calls(monkeypatch, repring, "_wall_kernel")
+    walls = _count_calls(monkeypatch, repring, "_orbit_walls")
+    build_entry(parse_cartan_type("A3"), bound=2)
+    assert repring._orbit_sums(_SYSTEMS["A3"]) and kernels == [] and walls == []
+
+    # the smaller factor (0,0,1,0) of F4 has orbits on both sides of 64
+    # points; the masks are built for the large ones only, in table order
+    rs = _SYSTEMS["F4"]
+    small = (0, 0, 1, 0)
+    table = repring._dominant_table(rs, small)
+    large = [dom for dom in table if len(repring._orbit(rs, dom)) >= 64]
+    assert 0 < len(large) < len(table)
+    tensor_decompose(rs, (1, 0, 1, 0), small)
+    assert walls == [(rs, dom) for dom in large]
+    assert kernels == [(rs,)]
 
 
 def test_cold_tensor_decompose_does_not_rebuild_the_root_system():

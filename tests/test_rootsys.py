@@ -441,7 +441,7 @@ def _reference_walls(rs, orbit):
     1 and k_i + k_j."""
     cols = list(zip(*orbit))
     floors = [1] * rs.rank
-    for i, j, ki, kj in repring._bonds(rs):
+    for i, j, ki, kj in rootsys._bonds(rs):
         cols.append(tuple(ki * a + kj * b for a, b in zip(cols[i], cols[j])))
         floors.append(ki + kj)
     walls = []
@@ -543,13 +543,16 @@ def test_generated_kernels_match_the_plain_loops(name, bound):
             big = tuple(rng.randint(256, 999) for _ in range(rs.rank))
             orbits.append(list(_reference_orbit(rs, big)))
             tops.append(999)
+        # with the inline wall test, block skips the points on a simple or
+        # height-two wall before straightening them: they are singular, so
+        # the items stay the same, in the same order
         for top in tops:
             for points in orbits:
                 shifted = [rng.randint(0, top) + 1 for _ in range(rs.rank)]
-                got = block(shifted, iter(points))
-                assert list(got.items()) == list(
-                    _reference_block(rs, shifted, points).items()
-                )
+                expected_items = list(_reference_block(rs, shifted, points).items())
+                assert list(block(shifted, iter(points)).items()) == expected_items
+                got = block(shifted, iter(points), True)
+                assert list(got.items()) == expected_items
 
 
 @pytest.mark.parametrize(
@@ -564,6 +567,18 @@ def test_kernel_sources_inline_only_int_coefficients(column):
     bad = rootsys.RootSystem(**{**vars(rs), "reflection_cols": cols})
     with pytest.raises(ValueError):
         rootsys._reflection_kernels.__wrapped__(bad)
+
+
+@pytest.mark.parametrize("bond", [(0, 1, 2.0, 1), (0, 1, 1.0, 1), (0, 1, 1, 1.0)])
+def test_block_wall_test_inlines_only_int_coefficients(monkeypatch, bond):
+    # block's inline wall test formats each bond coefficient with "d" too;
+    # the same bond with int coefficients builds
+    rs = build_root_system(parse_cartan_type("B2"))
+    monkeypatch.setattr(rootsys, "_bonds", lambda _: (bond,))
+    with pytest.raises(ValueError):
+        rootsys._reflection_kernels.__wrapped__(rs)
+    monkeypatch.setattr(rootsys, "_bonds", lambda _: (tuple(map(int, bond)),))
+    assert rootsys._reflection_kernels.__wrapped__(rs)
 
 
 @pytest.mark.parametrize("bond", [(0, 1, 2.0, 1), (0, 1, 1.0, 1), (0, 1, 1, 1.0)])
