@@ -3,17 +3,13 @@
 Dimensions come from the Weyl product formula, weight multiplicities from
 the Freudenthal recursion, and tensor product decompositions from the
 signed straightening of rho-shifted weights.  The recursion straightens
-through the straightener that ``rootsys._reflection_kernels`` generates
-for the root system, and the decomposition through its ``block`` kernel,
-which straightens the weights of one orbit and sums their signs in one
-call; each is fetched once per call.  The decomposition first drops every
-shifted weight on the wall of a simple root or of a root of height two,
-most of the weights of a large product: ``block`` tests the points of a
-small orbit inline, and a large orbit's wall points are read from cached
-bitmasks.  Two independent routes are deliberately kept: dimensions can be
-cross-checked as the total mass of the weight multiset, and decompositions
-against the convolution of weight multisets.  All values are exact
-integers.
+through the ``straighten`` kernel of ``rootsys._kernel``, and the
+decomposition through its ``block`` kernel, which straightens the weights
+of one orbit and sums their signs in one call; each is fetched once per
+call.  Two independent routes are deliberately kept: dimensions can be
+cross-checked as the total mass of the weight multiset, and
+decompositions against the convolution of weight multisets.  All values
+are exact integers.
 
 The recursion sums its root strings over classes of positive roots, not
 over each root (Moody and Patera, Fast recursion formula for weight
@@ -22,7 +18,10 @@ and Representation Theory, 22.3).  The simple reflections at the zero
 coordinates of a weight mu fix mu, and the multiplicities and the form are
 Weyl-invariant, so the roots of one of their orbits, each taken up to
 sign, have equal string sums through mu: one string per class, times the
-class size, gives the same exact sum.
+class size, gives the same exact sum.  The classes are read off the roots
+(Azad, Barry and Seitz, Comm. Algebra 18, 1990): the roots of one norm and
+one set of simple coordinates off the zeros, or, with none there, of one
+component of the Dynkin diagram on the zeros.
 
 The walk that finds the dominant weights below the highest weight tries
 w - alpha for each positive root alpha at each weight w it reaches.  It
@@ -30,81 +29,44 @@ first compares w with alpha at alpha's largest coordinate a = alpha_i: when
 w_i < a, w - alpha has a negative coordinate, and the root is skipped
 without building the weight.
 
-Nine ``functools.cache`` helpers keep work that repeats across calls,
-and every call returns a fresh dict, so a caller may change what it gets:
+The ``functools.cache`` helpers keep work that repeats across calls, and
+every call returns a fresh dict, so a caller may change what it gets.
+``_orbit`` keeps the frozenset ``weyl_orbit`` returns: a weight multiset
+is built from it in C with the hashes it already holds, and its iteration
+order fixes the item order of the multisets and the products.  Each
+decomposition reads its two factors' dimensions from ``_weyl_dim`` to pick
+the smaller factor, whose ``_module`` it then walks block by block.
 
-- ``_dominant_table``: dominant multiplicities, keyed by (root system,
-  highest weight);
-- ``_orbit``: the Weyl orbit of each dominant weight, keyed by (root
-  system, dominant weight), as the frozenset ``weyl_orbit`` returns: a
-  weight multiset is built from it in C with the hashes it already holds,
-  and its iteration order fixes the item order of the multiset;
-- ``_weyl_dim``: Weyl dimensions, keyed by (root system, highest weight);
-  each decomposition reads its two factors' dimensions there to pick the
-  smaller factor;
-- ``_support_roots``: per root system, one (i, a, root, simple
-  coordinates) per positive root, in ``positive_root_data`` order, with a
-  = root[i] its largest coordinate, for the walk's pre-test;
-- ``_root_classes``: the classes of positive roots that the recursion sums
-  over, keyed by (root system, zero coordinates of the weight): the roots
-  of one norm and one set of simple coordinates off the zeros, or, with
-  none there, of one component of the Dynkin diagram on the zeros (Azad,
-  Barry and Seitz, Comm. Algebra 18, 1990);
-- ``_orbit_walls``: the size and the wall masks of one orbit of at least
-  ``_MASK_MIN_POINTS`` points, keyed by (root system, dominant weight).
-  Its wall columns are the rank coordinates nu_i, then k_i nu_i + k_j nu_j
-  for each (i, j, k_i, k_j) of ``rootsys._bonds``, one per root alpha_i +
-  alpha_j of height two, whose coroot is k_i alpha_i^vee + k_j
-  alpha_j^vee; for each column and each value -c it takes at or below
-  minus the least pairing a shifted weight can have there (1, or k_i +
-  k_j), an int whose bit k is set when point k of the ``_orbit``
-  frozenset, in its iteration order, has -c there;
-- ``_wall_kernel``: per root system, the body of ``_orbit_walls``,
-  generated from ``_bonds`` with every coefficient and floor inlined: one
-  pass over the orbit that tests each coordinate of a point against 0 and
-  computes each of its bond columns once.  It is compiled at the first
-  orbit that needs masks, so a type whose orbits are all small never
-  compiles it;
-- ``_module``: the module V(mu), keyed by (root system, highest weight):
-  the weights of ``weight_multiplicities`` as one tuple, in its item
-  order, and one block (mu', m, start, end) per dominant weight mu' in
-  ``_dominant_table`` order, with m its multiplicity.  The multiset lists
-  each dominant weight's cached orbit in iteration order, so
-  weights[start:end] is W mu' in that order and bit k of its
-  ``_orbit_walls`` masks is weight start + k;
-- ``_orbit_sums``: per root system, one dict, the memo of orbit sums.
-  V(mu)'s weights are the orbits W mu' with multiplicity m, so the signed
-  straightening of lam + rho + nu, summed over nu in W mu', depends only
-  on (lam, mu'), the key.  The value is the straightened weights with rho
-  taken off, in first-occurrence order, as the tuples that ``_minus_rho``
-  shares, and their signed counts.  Keys whose count is 0 stay: a
-  decomposition adds m times each block's sums in block order, so its keys
-  reach the result in the order that a walk over every weight gives them.
-
-Each block is added in one ``dict.update`` over C iterators, safe because
-a block's weights are distinct: each ``get`` reads the sum from before the
-block.  A C filter on the sums' values then gives the result.
+``_orbit_sums`` is the memo of orbit sums.  V(mu)'s weights are the orbits
+W mu' with multiplicity m, so the signed straightening of lam + rho + nu,
+summed over nu in W mu', depends only on (lam, mu'), the key.  Keys whose
+count is 0 stay: a decomposition adds m times each block's sums in block
+order, so its keys reach the result in the order that a walk over every
+weight gives them.  ``_minus_rho`` keeps one tuple per highest weight,
+which the memo's keys and the relations callers keep share; it is
+injective, so the memo's keys keep their order.  Each block is added in
+one ``dict.update`` over C iterators, safe because a block's weights are
+distinct: each ``get`` reads the sum from before the block.  A C filter
+on the sums' values then gives the result.
 
 A decomposition tests the walls only for a block that the memo lacks, in
 one of two ways chosen by the size of its orbit; both drop the same
 points.  An orbit of fewer than ``_MASK_MIN_POINTS`` points goes to
-``block`` whole, with its inline wall test on: for each point nu, block
-computes each coordinate of lam + rho + nu and each of its bond pairings,
-and skips nu before straightening when one is 0.  For a larger orbit,
-lam + rho + nu pairs to zero with alpha^vee exactly when the column of
-alpha is minus the pairing of lam + rho with alpha^vee, so the
-decomposition finds the weights it drops in one OR of cached masks per
-column and hands only the rest to ``block``.  Either way ``block``
+``block`` whole, with its inline wall test on.  For a larger orbit, lam +
+rho + nu lies on the wall of a column exactly when the column of nu is
+minus the pairing of lam + rho there, so the decomposition finds the
+weights it drops in one OR of the orbit's cached ``_orbit_walls`` masks
+per column and hands only the rest to ``block``.  Either way ``block``
 straightens what it keeps and drops those that reach a wall of a higher
 root.  Building masks costs a pass over the orbit and, once per root
-system, the wall kernel's compile; on a small orbit that is more than the
-inline test costs on the points the masks would skip.  A block found in
-the memo reads no mask and straightens nothing.  The masks and the memo's
-key order hold only for the cached frozensets: clear ``_orbit_walls``,
-``_module`` and ``_orbit_sums`` with ``_orbit``.  ``_module`` builds its
-weights through ``weight_multiplicities``, called through the module
-attribute, so each module is built once and the benchmark's traced
-``weight_multiplicities`` layer still records it.
+system, the ``walls`` kernel's compile; on a small orbit that is more than
+the inline test costs on the points the masks would skip.  A block found
+in the memo reads no mask and straightens nothing.  The masks and the
+memo's key order hold only for the cached frozensets: clear
+``_orbit_walls``, ``_module`` and ``_orbit_sums`` with ``_orbit``.
+``_module`` builds its weights through ``weight_multiplicities``, called
+through the module attribute, so each module is built once and the
+benchmark's traced ``weight_multiplicities`` layer still records it.
 
 Why height two: a shifted weight that one simple reflection s_i takes onto
 the wall of a neighbouring alpha_j lay on the wall of s_i alpha_j, which is
@@ -112,30 +74,23 @@ alpha_i + alpha_j when the bond is simple.  Weights one reflection away
 from dominant are most of the singular ones a product straightens, so
 these walls catch nearly all of them, and a column per higher root costs
 more than the straightenings it saves.
-
-A tenth cache, ``_minus_rho``, takes rho off a straightened weight and
-keeps one tuple per highest weight, which the memo's keys and the relations
-callers keep share.  It is injective, so the memo's keys keep their order.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
-from functools import partial, reduce
 from itertools import compress, repeat
-from operator import add, mul, or_, sub
+from operator import add, mul, sub
 
 from .rootsys import (
     PositiveRootData,
     RootSystem,
     Weight,
-    _bond_terms,
-    _bonds,
-    _listed,
-    _reflection_kernels,
+    _kernel,
+    _off_walls,
     _require_dominant,
     _require_ints,
+    _wall_pairings,
     weyl_orbit,
 )
 
@@ -181,7 +136,7 @@ def dominant_weight_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, 
 def _dominant_table(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     rank = rs.rank
     norms = rs.simple_norms
-    straighten = _reflection_kernels(rs)[1]
+    straighten = _kernel(rs, "straighten")
     support = _support_roots(rs)
 
     # dominant weights below lam, with lam - mu expanded over simple roots
@@ -288,67 +243,16 @@ def _orbit(rs: RootSystem, mu: Weight) -> frozenset[Weight]:
     return weyl_orbit(rs, mu)
 
 
-# a 0/1 byte string reversed and read as binary, so that byte k is bit k
-_TO_BINARY = bytes.maketrans(b"\x00\x01", b"01")
-# binary digits, lowest bit first, as the selector of the bits left clear
-_CLEAR = bytes.maketrans(b"01", b"\x01\x00")
-# an orbit's size and its wall masks, one dict per wall column
-_OrbitWalls = tuple[int, tuple[dict[int, int], ...]]
 # the least orbit size whose misses read wall masks: below it, building the
-# masks, and the wall kernel for a type that meets no larger orbit, costs
+# masks, and the walls kernel for a type that meets no larger orbit, costs
 # more than block's inline wall test on the points the masks would skip
 _MASK_MIN_POINTS = 64
 
 
 @functools.cache
-def _orbit_walls(rs: RootSystem, mu: Weight) -> _OrbitWalls:
-    """The size of ``_orbit(rs, mu)`` and, per wall column, the map from
-    each c with -c among the column's values to the bitmask of the
-    positions, in the orbit's iteration order, where the column is -c.  The
-    columns are the rank coordinates nu_i, then k_i nu_i + k_j nu_j per item
-    of ``_bonds``.  A shifted weight pairs to at least 1 with a simple
-    coroot and to at least k_i + k_j with the coroot of alpha_i + alpha_j,
-    so only the values -c at or below these are kept."""
-    return _wall_kernel(rs)(_orbit(rs, mu))
-
-
-@functools.cache
-def _wall_kernel(rs: RootSystem):
-    """The body of ``_orbit_walls`` for ``rs``, generated from ``_bonds``
-    with every coefficient and floor inlined by the ``d`` format, which
-    refuses anything but an int.
-
-    One pass over the orbit tests each column inline and, for each value
-    kept, sets one 0/1 byte per position: a pass per column, or per value,
-    costs more once the bond columns take many values.  A simple column is
-    a coordinate, whose floor 1 makes its test ``v_i < 0``; a bond column
-    is computed once, in the test, by an assignment expression.  Each
-    column's values map to byte strings through a ``defaultdict``, which
-    makes a value's string at its first point and so keeps the values in
-    order of first occurrence."""
-    v = [f"v{j}" for j in range(rs.rank)]
-    bonds = _bonds(rs)
-    flags = [f"f{c}" for c in range(rs.rank + len(bonds))]
-    lines = [
-        "def walls(orbit):",
-        "    size = len(orbit)",
-        "    row = partial(bytearray, size)",
-        f"    {_listed(flags)}= {_listed(['defaultdict(row)'] * len(flags))}",
-        f"    for k, ({_listed(v)}) in enumerate(orbit):",
-    ]
-    lines += map("        if {1} < 0: {0}[{1}][k] = 1".format, flags, v)
-    for f, x, (_, _, ki, kj) in zip(flags[rs.rank :], _bond_terms(bonds), bonds):
-        # "d" refuses a floor that is not an int, as _bond_terms a coefficient
-        lines.append(f"        if (x := {x}) <= -{ki + kj:d}: {f}[x][k] = 1")
-    lines += [
-        "    return size, tuple(",
-        "        {-c: int(b.translate(binary)[::-1], 2) for c, b in f.items()}",
-        f"        for f in ({_listed(flags)})",
-        "    )",
-    ]
-    namespace = {"binary": _TO_BINARY, "defaultdict": defaultdict, "partial": partial}
-    exec("\n".join(lines), namespace)
-    return namespace["walls"]
+def _orbit_walls(rs: RootSystem, mu: Weight) -> tuple[dict[int, int], ...]:
+    """The wall masks of ``_orbit(rs, mu)``, from the ``walls`` kernel."""
+    return _kernel(rs, "walls")(_orbit(rs, mu))
 
 
 # a dominant weight mu' of a module, its multiplicity m, and the slice
@@ -373,20 +277,6 @@ def _module(
         blocks.append((mu, m, start, end))
         start = end
     return keys, tuple(blocks)
-
-
-def _off_walls(
-    walls: tuple[dict[int, int], ...], pairings: list[int], size: int
-) -> bytes:
-    """One byte per point of an orbit of ``size`` points with wall masks
-    ``walls``: 1 when no wall column of the point is minus the matching
-    entry of ``pairings``, else 0.
-
-    With ``pairings`` the coroot pairings of a shifted weight, column by
-    column, the orbit's wall points are the OR over the columns of one
-    cached mask each."""
-    wall = reduce(or_, map(dict.get, walls, pairings, repeat(0)), 0)
-    return format(wall, f"0{size}b")[::-1].encode().translate(_CLEAR)
 
 
 @functools.cache
@@ -424,7 +314,7 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
         entry = memo.get((lam, dom))
         if entry is None:
             if shifted is None:
-                block = _reflection_kernels(rs)[2]
+                block = _kernel(rs, "block")
                 shifted = [c + 1 for c in lam]
             # a weight nu such that lam + rho + nu pairs to zero with a simple
             # coroot or the coroot of a root of height two lies on a wall:
@@ -440,12 +330,8 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> Decomposition:
                 sums = block(shifted, keys[start:end], True)
             else:
                 if pairings is None:
-                    pairings = shifted + [
-                        ki * shifted[i] + kj * shifted[j]
-                        for i, j, ki, kj in _bonds(rs)
-                    ]
-                walls = _orbit_walls(rs, dom)[1]
-                selector = _off_walls(walls, pairings, end - start)
+                    pairings = _wall_pairings(rs, shifted)
+                selector = _off_walls(_orbit_walls(rs, dom), pairings, end - start)
                 sums = block(shifted, compress(keys[start:end], selector))
             # a key whose sum is 0 stays: it fixes where the key first
             # enters the product, and so the product's item order

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import defaultdict
 from dataclasses import dataclass
-from operator import mul
+from functools import partial, reduce
+from itertools import repeat
+from operator import mul, or_
 
 Weight = tuple[int, ...]
 
@@ -255,7 +258,7 @@ def weyl_orbit(rs: RootSystem, w: Weight) -> frozenset[Weight]:
     """The full Weyl group orbit of ``w``, by closure under simple reflections."""
     _check_weight(rs, w)
     powers, steps = _orbit_keys(rs, sum(map(abs, w)))
-    return _reflection_kernels(rs)[0](w, sum(map(mul, w, powers)), *steps)
+    return _kernel(rs, "orbit")(w, sum(map(mul, w, powers)), *steps)
 
 
 @functools.cache
@@ -289,7 +292,7 @@ def dominant_representative(rs: RootSystem, w: Weight) -> tuple[Weight, int, boo
     coordinate.
     """
     _check_weight(rs, w)
-    dom, sign = _reflection_kernels(rs)[1](w)
+    dom, sign = _kernel(rs, "straighten")(w)
     return dom, sign, 0 in dom
 
 
@@ -306,14 +309,20 @@ def _bonds(rs: RootSystem) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(bonds)
 
 
-def _bond_terms(bonds: tuple[tuple[int, int, int, int], ...]) -> list[str]:
-    """The source of k_i v_i + k_j v_j for each bond, each coefficient
-    formatted with ``d``, which refuses anything but an int, and a
-    coefficient 1 left out."""
-    return [
-        " + ".join(f"{k:d} * v{n}".removeprefix("1 * ") for n, k in ((i, ki), (j, kj)))
-        for i, j, ki, kj in bonds
-    ]
+@functools.cache
+def _wall_columns(rs: RootSystem) -> tuple[tuple[int, int, int, int], ...]:
+    """The wall columns of ``rs``: one (i, j, k_i, k_j) per root whose wall
+    the tensor layer tests, the pairing k_i v_i + k_j v_j of a weight v
+    with its coroot k_i alpha_i^vee + k_j alpha_j^vee.  First (i, i, 1, 0),
+    the coordinate v_i, per simple root, then the items of ``_bonds``.  A
+    shifted weight (a dominant weight plus rho) pairs to at least the
+    column's floor k_i + k_j with each."""
+    return tuple((i, i, 1, 0) for i in range(rs.rank)) + _bonds(rs)
+
+
+def _wall_pairings(rs: RootSystem, shifted: list[int]) -> list[int]:
+    """The pairing of ``shifted`` with each wall column, in column order."""
+    return [ki * shifted[i] + kj * shifted[j] for i, j, ki, kj in _wall_columns(rs)]
 
 
 def _listed(items) -> str:
@@ -322,10 +331,11 @@ def _listed(items) -> str:
 
 
 @functools.cache
-def _reflection_kernels(rs: RootSystem):
-    """The orbit closure, the straightener and the block sum of ``rs``, as
-    three functions generated from ``reflection_cols`` and ``_bonds`` with
-    every coefficient inlined.
+def _kernel_sources(rs: RootSystem) -> dict[str, str]:
+    """The sources of the four kernels of ``rs``, generated from
+    ``reflection_cols`` and ``_wall_columns`` with every coefficient and
+    floor inlined by the ``d`` format, which refuses anything but an int.
+    ``_kernel`` compiles each one the first time it is asked for.
 
     ``orbit(w, key, step0, step1, ...)`` returns the frozenset
     ``weyl_orbit`` returns.  It keeps the traversal of a plain closure
@@ -364,17 +374,22 @@ def _reflection_kernels(rs: RootSystem):
     straightened weight is dominant, so its coordinates are at least 0, and
     ``v0 and v1 and ...`` holds exactly when none is 0: the weight is kept
     exactly when it is regular.  With ``walls`` true, block first skips
-    each v = shifted + n on the wall of a simple root or of a root alpha_i
-    + alpha_j of height two: a zero coordinate, or k_i v_i + k_j v_j = 0
-    for an item (i, j, k_i, k_j) of ``_bonds``.  The reflection in that
-    root fixes v, so v is singular, straightens to a singular weight and
-    would be dropped anyway: the flag saves its straightening and changes
-    nothing in the dict, its order or its sums.
+    each v = shifted + n with a wall column 0.  The reflection in that
+    column's root fixes v, so v is singular, straightens to a singular
+    weight and would be dropped anyway: the flag saves its straightening
+    and changes nothing in the dict, its order or its sums.
 
-    Each reflection changes only the coordinates of the nonzero entries of
-    its Cartan column, and each coefficient, of a reflection or of a bond,
-    is written into the source with the ``d`` format, which refuses
-    anything but an int.
+    ``walls(orbit)`` returns the wall masks of the frozenset ``orbit``: per
+    wall column, the map from each c with -c among the column's values, at
+    or below minus its floor, to the int whose bit k is set when point k
+    of ``orbit``, in its iteration order, has -c there.  ``_off_walls``
+    reads them.  One pass over the orbit tests each column inline and, for
+    each value kept, sets one 0/1 byte per position: a pass per column, or
+    per value, costs more once the bond columns take many values.  A
+    coordinate column is tested as it is, and a bond column computed once,
+    in the test, by an assignment expression.  Each column's values map to
+    byte strings through a ``defaultdict``, which makes a value's string at
+    its first point and so keeps the values in order of first occurrence.
     """
     v = [f"v{j}" for j in range(rs.rank)]
     steps = [f"step{j}" for j in range(rs.rank)]
@@ -391,7 +406,7 @@ def _reflection_kernels(rs: RootSystem):
         # s_i sets v_j to v_j - a v_i for each (j, a) of column i
         moved = {}
         for j, a in col:
-            k = f"{abs(a):d}"  # "d" refuses a coefficient that is not an int
+            k = f"{abs(a):d}"
             step = f"v{i}" if k == "1" else f"{k} * v{i}"
             if j == i and a == 2:
                 moved[j] = f"-v{i}"
@@ -415,16 +430,20 @@ def _reflection_kernels(rs: RootSystem):
         f"        else: return ({_listed(v)}), sign",
         "        sign = -sign",
     ]
+    # each column as k_i * v_i + k_j * v_j, a coefficient 1 and a term 0 left out
+    columns = [
+        " + ".join(f"{k:d} * v{n}".removeprefix("1 * ") for n, k in ((i, ki), (j, kj)) if k)
+        for i, j, ki, kj in _wall_columns(rs)
+    ]
     s = [f"s{j}" for j in range(rs.rank)]
     n = [f"n{j}" for j in range(rs.rank)]
-    walls = " and ".join(v + _bond_terms(_bonds(rs)))
     block = [
         "def block(shifted, points, walls=False):",
         f"    {_listed(s)}= shifted",
         "    sums = {}; get = sums.get",
         f"    for {_listed(n)}in points:",
         *map("        {} = {} + {}".format, v, s, n),
-        f"        if walls and not ({walls}): continue",
+        f"        if walls and not ({' and '.join(columns)}): continue",
         "        sign = 1",
         "        while True:",
         *(f"            {line}" for line in chain),
@@ -435,9 +454,50 @@ def _reflection_kernels(rs: RootSystem):
         "            sums[t] = get(t, 0) + sign",
         "    return sums",
     ]
-    namespace: dict = {}
-    exec("\n".join(orbit + straighten + block), namespace)
-    return namespace["orbit"], namespace["straighten"], namespace["block"]
+    flags = [f"f{c}" for c in range(len(columns))]
+    walls = [
+        "def walls(orbit):",
+        "    row = partial(bytearray, len(orbit))",
+        f"    {_listed(flags)}= {_listed(['defaultdict(row)'] * len(flags))}",
+        f"    for k, ({_listed(v)}) in enumerate(orbit):",
+    ]
+    for f, x, (_, _, ki, kj) in zip(flags, columns, _wall_columns(rs)):
+        x, test = (x, x) if x.isidentifier() else ("x", f"(x := {x})")
+        walls.append(f"        if {test} <= -{ki + kj:d}: {f}[{x}][k] = 1")
+    walls += [
+        "    return tuple(",
+        "        {-c: int(b.translate(binary)[::-1], 2) for c, b in f.items()}",
+        f"        for f in ({_listed(flags)})",
+        "    )",
+    ]
+    kernels = {"orbit": orbit, "straighten": straighten, "block": block, "walls": walls}
+    return {name: "\n".join(lines) for name, lines in kernels.items()}
+
+
+@functools.cache
+def _kernel(rs: RootSystem, name: str):
+    """The kernel ``name`` of ``rs`` (see ``_kernel_sources``), compiled at
+    its first use: ``weights`` never needs ``block`` or ``walls``."""
+    namespace = {"binary": _TO_BINARY, "defaultdict": defaultdict, "partial": partial}
+    exec(_kernel_sources(rs)[name], namespace)
+    return namespace[name]
+
+
+# a 0/1 byte string reversed and read as binary, so that byte k is bit k
+_TO_BINARY = bytes.maketrans(b"\x00\x01", b"01")
+# binary digits, lowest bit first, as the selector of the bits left clear
+_CLEAR = bytes.maketrans(b"01", b"\x01\x00")
+
+
+def _off_walls(walls: tuple[dict[int, int], ...], pairings: list[int], size: int) -> bytes:
+    """One byte per point of an orbit of ``size`` points with wall masks
+    ``walls``: 1 when no wall column of the point is minus the matching
+    entry of ``pairings``, else 0.
+
+    With ``pairings`` from ``_wall_pairings``, the orbit's points on a wall
+    of the shifted weight are the OR over the columns of one mask each."""
+    wall = reduce(or_, map(dict.get, walls, pairings, repeat(0)), 0)
+    return format(wall, f"0{size}b")[::-1].encode().translate(_CLEAR)
 
 
 _INT_ONLY = frozenset({int})

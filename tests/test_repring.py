@@ -44,16 +44,17 @@ _SYSTEMS = {
 
 
 def _cold_caches():
-    """Empty repring's caches and the generated reflection kernels."""
+    """Empty repring's caches and the generated kernels."""
     for helper in (
-        rootsys._reflection_kernels,
+        rootsys._kernel,
+        rootsys._kernel_sources,
+        rootsys._wall_columns,
         repring._dominant_table,
         repring._orbit,
         repring._minus_rho,
         repring._weyl_dim,
         repring._root_classes,
         rootsys._bonds,
-        repring._wall_kernel,
         repring._support_roots,
         repring._orbit_walls,
         repring._module,
@@ -188,7 +189,7 @@ def test_wall_selector_matches_the_direct_wall_test():
         assert tiles == [tuple(repring._orbit(rs, dom)) for dom, *_ in blocks]
         assert tuple(itertools.chain(*tiles)) == keys
         selector = b"".join(
-            repring._off_walls(repring._orbit_walls(rs, dom)[1], pairings, end - start)
+            rootsys._off_walls(repring._orbit_walls(rs, dom), pairings, end - start)
             for dom, _, start, end in blocks
         )
         shifted_weights = [tuple(map(add, shifted, nu)) for nu in wm]
@@ -593,22 +594,24 @@ def _count_calls(monkeypatch, module, name):
 
 def _count_straightenings(monkeypatch):
     """Record every point that the ``block`` kernel, fetched by repring from
-    ``_reflection_kernels``, receives for the rest of the test: the points
-    that a decomposition straightens."""
+    ``_kernel``, receives for the rest of the test: the points that a
+    decomposition straightens."""
     points = []
-    kernels = repring._reflection_kernels
+    kernel = repring._kernel
 
-    def fetch(rs):
-        orbit, straighten, block = kernels(rs)
+    def fetch(rs, name):
+        if name != "block":
+            return kernel(rs, name)
+        block = kernel(rs, name)
 
         def counted(shifted, block_points, walls=False):
             block_points = list(block_points)
             points.extend(block_points)
             return block(shifted, block_points, walls)
 
-        return orbit, straighten, counted
+        return counted
 
-    monkeypatch.setattr(repring, "_reflection_kernels", fetch)
+    monkeypatch.setattr(repring, "_kernel", fetch)
     return points
 
 
@@ -773,13 +776,14 @@ def test_masked_and_inline_wall_tests_give_the_same_items(monkeypatch):
 
 
 def test_only_large_orbits_build_wall_masks(monkeypatch):
-    # every orbit of A3 has at most 24 points: an entry compiles no wall
-    # kernel, though it decomposes products
+    # every orbit of A3 has at most 24 points: an entry never asks for the
+    # walls kernel, though it decomposes products
     _cold_caches()
-    kernels = _count_calls(monkeypatch, repring, "_wall_kernel")
+    kernels = _count_calls(monkeypatch, repring, "_kernel")
     walls = _count_calls(monkeypatch, repring, "_orbit_walls")
     build_entry(parse_cartan_type("A3"), bound=2)
-    assert repring._orbit_sums(_SYSTEMS["A3"]) and kernels == [] and walls == []
+    assert repring._orbit_sums(_SYSTEMS["A3"]) and walls == []
+    assert kernels and all(name != "walls" for _, name in kernels)
 
     # the smaller factor (0,0,1,0) of F4 has orbits on both sides of 64
     # points; the masks are built for the large ones only, in table order
@@ -788,9 +792,49 @@ def test_only_large_orbits_build_wall_masks(monkeypatch):
     table = repring._dominant_table(rs, small)
     large = [dom for dom in table if len(repring._orbit(rs, dom)) >= 64]
     assert 0 < len(large) < len(table)
+    kernels.clear()
     tensor_decompose(rs, (1, 0, 1, 0), small)
     assert walls == [(rs, dom) for dom in large]
-    assert kernels == [(rs,)]
+    assert [call for call in kernels if call[1] == "walls"] == [(rs, "walls")] * len(large)
+
+
+def _count_compiles(monkeypatch):
+    """Record the name of each kernel that rootsys compiles for the rest of
+    the test, by the ``exec`` that ``rootsys._kernel`` runs."""
+    names = []
+
+    def recorded(source, namespace):
+        names.append(source.removeprefix("def ").split("(")[0])
+        exec(source, namespace)
+
+    monkeypatch.setattr(rootsys, "exec", recorded, raising=False)
+    return names
+
+
+def test_each_kernel_compiles_on_first_use(monkeypatch):
+    _cold_caches()
+    compiled = _count_compiles(monkeypatch)
+    e6 = build_root_system(parse_cartan_type("E6"))
+    top = (0, 1, 0, 0, 0, 0)
+    dominant_weight_multiplicities(e6, top)
+    assert compiled == ["straighten"]
+    weyl_orbit(e6, top)
+    assert compiled == ["straighten", "orbit"]
+
+    # A3's orbits are all too small for wall masks
+    compiled.clear()
+    build_entry(parse_cartan_type("A3"), bound=2)
+    assert sorted(compiled) == ["block", "orbit", "straighten"]
+
+    # F4's first product with an orbit of 64 points or more compiles walls,
+    # and a second one, with more such orbits, compiles nothing
+    rs = _SYSTEMS["F4"]
+    compiled.clear()
+    tensor_decompose(rs, (1, 0, 1, 0), (0, 0, 1, 0))
+    assert sorted(compiled) == ["block", "orbit", "straighten", "walls"]
+    compiled.clear()
+    tensor_decompose(rs, (2, 0, 1, 0), (0, 1, 0, 0))
+    assert compiled == []
 
 
 def test_cold_tensor_decompose_does_not_rebuild_the_root_system():

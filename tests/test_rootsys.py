@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootatlas import repring, rootsys
+from rootatlas import rootsys
 from rootatlas.classify import admissible_irreducible_types
 from rootatlas.repring import dominant_weights_up_to
 from rootatlas.rootsys import (
@@ -436,9 +436,9 @@ def _reference_block(rs, shifted, points):
 
 
 def _reference_walls(rs, orbit):
-    """The wall masks of ``repring._orbit_walls``, by one pass per column:
-    the rank coordinates, then k_i v_i + k_j v_j per bond, with the floors
-    1 and k_i + k_j."""
+    """The wall masks of the ``walls`` kernel of ``rootsys._kernel``, by one
+    pass per column: the rank coordinates, then k_i v_i + k_j v_j per bond,
+    with the floors 1 and k_i + k_j."""
     cols = list(zip(*orbit))
     floors = [1] * rs.rank
     for i, j, ki, kj in rootsys._bonds(rs):
@@ -527,15 +527,14 @@ def test_generated_kernels_match_the_plain_loops(name, bound):
             # the same frozenset, iterated in the same order
             assert list(weyl_orbit(rs, w)) == list(orbit)
             # the same masks, each column's values in the same order
-            size, walls = repring._wall_kernel(rs)(weyl_orbit(rs, w))
-            assert (size, [list(d.items()) for d in walls]) == (
-                len(orbit),
-                [list(d.items()) for d in _reference_walls(rs, list(orbit))],
-            )
+            walls = rootsys._kernel(rs, "walls")(weyl_orbit(rs, w))
+            assert [list(d.items()) for d in walls] == [
+                list(d.items()) for d in _reference_walls(rs, list(orbit))
+            ]
         # the block sums of each orbit and of the seeded points, shifted by
         # a seeded dominant weight plus rho; on A1, A2 and G2 also an orbit
         # and shifts with coordinates past 255
-        block = rootsys._reflection_kernels(rs)[2]
+        block = rootsys._kernel(rs, "block")
         orbits = [list(orbit) for orbit in expected.values()]
         orbits.append(seeded)
         tops = [bound]
@@ -566,25 +565,34 @@ def test_kernel_sources_inline_only_int_coefficients(column):
     cols = (column,) + rs.reflection_cols[1:]
     bad = rootsys.RootSystem(**{**vars(rs), "reflection_cols": cols})
     with pytest.raises(ValueError):
-        rootsys._reflection_kernels.__wrapped__(bad)
+        rootsys._kernel_sources.__wrapped__(bad)
 
 
 @pytest.mark.parametrize("bond", [(0, 1, 2.0, 1), (0, 1, 1.0, 1), (0, 1, 1, 1.0)])
 def test_block_wall_test_inlines_only_int_coefficients(monkeypatch, bond):
-    # block's inline wall test formats each bond coefficient with "d" too;
-    # the same bond with int coefficients builds
+    # block's inline wall test formats each column's coefficients with "d"
+    # too; the same column with int coefficients reaches block's source
     rs = build_root_system(parse_cartan_type("B2"))
-    monkeypatch.setattr(rootsys, "_bonds", lambda _: (bond,))
+    monkeypatch.setattr(rootsys, "_wall_columns", lambda _: (bond,))
     with pytest.raises(ValueError):
-        rootsys._reflection_kernels.__wrapped__(rs)
-    monkeypatch.setattr(rootsys, "_bonds", lambda _: (tuple(map(int, bond)),))
-    assert rootsys._reflection_kernels.__wrapped__(rs)
+        rootsys._kernel_sources.__wrapped__(rs)
+    monkeypatch.setattr(rootsys, "_wall_columns", lambda _: (tuple(map(int, bond)),))
+    term = "2 * v0 + v1" if bond[2] == 2 else "v0 + v1"
+    assert f"if walls and not ({term}): continue" in (
+        rootsys._kernel_sources.__wrapped__(rs)["block"]
+    )
 
 
 @pytest.mark.parametrize("bond", [(0, 1, 2.0, 1), (0, 1, 1.0, 1), (0, 1, 1, 1.0)])
 def test_wall_kernel_inlines_only_int_coefficients(monkeypatch, bond):
-    # the wall kernel formats each bond coefficient and floor with "d" too
+    # the walls kernel formats each column's coefficients and floor with "d"
+    # too; the same column with int coefficients reaches its source
     rs = build_root_system(parse_cartan_type("B2"))
-    monkeypatch.setattr(repring, "_bonds", lambda _: (bond,))
+    monkeypatch.setattr(rootsys, "_wall_columns", lambda _: (bond,))
     with pytest.raises(ValueError):
-        repring._wall_kernel.__wrapped__(rs)
+        rootsys._kernel_sources.__wrapped__(rs)
+    monkeypatch.setattr(rootsys, "_wall_columns", lambda _: (tuple(map(int, bond)),))
+    term, floor = ("2 * v0 + v1", 3) if bond[2] == 2 else ("v0 + v1", 2)
+    assert f"if (x := {term}) <= -{floor}: f0[x][k] = 1" in (
+        rootsys._kernel_sources.__wrapped__(rs)["walls"]
+    )
